@@ -92,13 +92,20 @@ class ScoreDistributionModel:
         summary: SampledSummary,
         config: AdaptiveConfig | None = None,
         moment_cache: dict | None = None,
+        posterior_cache: dict | None = None,
     ) -> None:
         self.summary = summary
         self.config = config or AdaptiveConfig()
-        #: Optional cache of per-word score moments, keyed by
-        #: (scorer name, word). Sound as long as a scorer's corpus-level
-        #: statistics stay fixed, which holds within one summary set.
+        #: Optional cache of per-word score moments, keyed by (scorer name,
+        #: s_k, ``scorer.moment_key(word)``): the moments are a function of
+        #: the posterior (fixed by s_k) and of the one per-word statistic
+        #: ``word_score_vector`` reads, so words agreeing on both share an
+        #: entry. Sound as long as the scorer's corpus-level statistics
+        #: stay fixed, which holds within one summary set.
         self.moment_cache = moment_cache
+        #: Optional cache of posteriors keyed by s_k (everything else the
+        #: posterior depends on is fixed per model).
+        self.posterior_cache = posterior_cache
         # The posterior support grid depends only on |D|, which is fixed
         # per model; every query word reuses the same grid and its
         # word-independent log terms.
@@ -112,32 +119,51 @@ class ScoreDistributionModel:
             return self.config.default_gamma
         return 1.0 / alpha - 1.0
 
+    def observed_count(self, word: str) -> int:
+        """s_k: sampled documents holding ``word``, capped at |S|."""
+        return min(self.summary.sample_frequency(word), self.summary.sample_size)
+
     def word_posterior(self, word: str) -> tuple[np.ndarray, np.ndarray]:
         """(support, probabilities) of the true document frequency of ``word``."""
+        return self.posterior(self.observed_count(word))
+
+    def posterior(self, observed: int) -> tuple[np.ndarray, np.ndarray]:
+        """(support, probabilities) of d given s_k = ``observed``.
+
+        Cached arrays are read-only: every caller shares them.
+        """
+        cache = self.posterior_cache
+        if cache is not None:
+            cached = cache.get(observed, MISSING)
+            if cached is not MISSING:
+                return cached
         database_size = max(int(round(self.summary.size)), 1)
-        sample_size = self.summary.sample_size
-        observed = min(self.summary.sample_frequency(word), sample_size)
+        misses = self.summary.sample_size - observed
 
         support, log_support, log_ratio, log_miss, log_widths = self._grid(
             database_size
         )
-        log_weights = (
-            self.gamma * log_support
-            + observed * log_ratio
-            + (sample_size - observed) * log_miss
-        )
-        log_weights[~np.isfinite(log_weights)] = -np.inf
+        log_weights = self.gamma * log_support + observed * log_ratio
+        if misses:
+            # With no misses the binomial's miss factor is (1 - d/|D|)^0 = 1
+            # everywhere, d = |D| included (0 * log 0 = 0), so it is left out.
+            log_weights = log_weights + misses * log_miss
         if log_widths is not None:
             log_weights += log_widths
         if not np.any(np.isfinite(log_weights)):
-            # Degenerate (e.g. s_k = |S| and d = |D| is the only option):
+            # Degenerate (e.g. |D| = 1 and the sample missed the word):
             # put all mass on the largest support value.
             probabilities = np.zeros_like(support, dtype=float)
             probabilities[-1] = 1.0
-            return support, probabilities
-        log_weights -= log_weights.max()
-        weights = np.exp(log_weights)
-        return support, weights / weights.sum()
+        else:
+            log_weights -= log_weights.max()
+            weights = np.exp(log_weights)
+            probabilities = weights / weights.sum()
+        probabilities.flags.writeable = False
+        result = (support, probabilities)
+        if cache is not None:
+            cache[observed] = result
+        return result
 
     def _support(self, database_size: int) -> np.ndarray:
         if database_size <= self.config.max_support:
@@ -181,6 +207,21 @@ class ScoreDistributionModel:
 
     # -- analytic moments ------------------------------------------------------
 
+    def decide(
+        self, scorer, query_terms: Sequence[str], floor: float | None = None
+    ) -> AdaptiveDecision:
+        """The content-summary-selection step of Figure 3 for this database.
+
+        ``floor`` must equal ``scorer.floor_score(query_terms, summary)``
+        bit-for-bit when given (batched callers compute all floors at once).
+        """
+        mean, std = self.score_moments(scorer, query_terms)
+        if floor is None:
+            floor = scorer.floor_score(query_terms, self.summary)
+        return AdaptiveDecision(
+            use_shrinkage=std > mean - floor, mean=mean, std=std, floor=floor
+        )
+
     def score_moments(
         self, scorer, query_terms: Sequence[str]
     ) -> tuple[float, float]:
@@ -193,11 +234,14 @@ class ScoreDistributionModel:
         self, scorer, word: str
     ) -> tuple[float, float]:
         """E[g] and E[g^2] of the per-word score component."""
-        if self.moment_cache is not None:
-            cached = self.moment_cache.get((scorer.name, word), MISSING)
+        observed = self.observed_count(word)
+        cache = self.moment_cache
+        if cache is not None:
+            key = (scorer.name, observed, scorer.moment_key(word))
+            cached = cache.get(key, MISSING)
             if cached is not MISSING:
                 return cached
-        support, probabilities = self.word_posterior(word)
+        support, probabilities = self.posterior(observed)
         database_size = max(self.summary.size, 1.0)
         scale = scorer.hypothetical_probability_scale(self.summary)
         values = scorer.word_score_vector(
@@ -205,8 +249,8 @@ class ScoreDistributionModel:
         )
         mean = float(np.dot(probabilities, values))
         second = float(np.dot(probabilities, values**2))
-        if self.moment_cache is not None:
-            self.moment_cache[(scorer.name, word)] = (mean, second)
+        if cache is not None:
+            cache[key] = (mean, second)
         return mean, second
 
     def _analytic_moments(
@@ -321,12 +365,8 @@ def decide_summary(
     floors for all databases at once); it must equal
     ``scorer.floor_score(query_terms, sampled_summary)`` bit-for-bit.
     """
-    model = ScoreDistributionModel(sampled_summary, config)
-    mean, std = model.score_moments(scorer, query_terms)
-    if floor is None:
-        floor = scorer.floor_score(query_terms, sampled_summary)
-    return AdaptiveDecision(
-        use_shrinkage=std > mean - floor, mean=mean, std=std, floor=floor
+    return ScoreDistributionModel(sampled_summary, config).decide(
+        scorer, query_terms, floor
     )
 
 

@@ -108,6 +108,14 @@ class ShrunkSummary(ContentSummary):
             (values > 0.0) | self._ids_in_support(ids), values, floor
         )
 
+    def rebind(self, vocab: Vocabulary) -> ShrunkSummary:
+        """As :meth:`ContentSummary.rebind`; a base decoded onto the same
+        vocabulary moves along with it."""
+        rebound = super().rebind(vocab)
+        if rebound is not self and self.base.vocab is self.vocab:
+            rebound.base = self.base.rebind(vocab)
+        return rebound
+
     def mixture_weights(self) -> dict[str, float]:
         """{component name: lambda} for the document-frequency regime."""
         return dict(zip(self.component_names, self.lambdas))

@@ -112,6 +112,19 @@ class Vocabulary:
             self._version = digest.hexdigest()[:16]
         return self._version
 
+    def extends(self, other: Vocabulary) -> bool:
+        """Whether every id of ``other`` names the same word here.
+
+        True when ``other``'s word list is a prefix of this one's (equal
+        lists included). Arrays over ``other``'s ids are then valid over
+        this vocabulary unchanged — the case of a store-decoded copy of an
+        append-only vocabulary.
+        """
+        if other is self:
+            return True
+        size = len(other._words)
+        return size <= len(self._words) and self._words[:size] == other._words
+
     def to_list(self) -> list[str]:
         """The word list in id order (id ``i`` is element ``i``)."""
         return list(self._words)

@@ -41,7 +41,7 @@ from repro.classify.prober import ProbeClassifier
 from repro.classify.rules import ProbeRuleSet, build_probe_rules
 from repro.core.shrinkage import ShrinkageConfig
 from repro.core.vocab import Vocabulary
-from repro.corpus.hierarchy import default_hierarchy
+from repro.corpus.hierarchy import Hierarchy, default_hierarchy
 from repro.corpus.language_model import CorpusModel, CorpusModelConfig
 from repro.corpus.queries import QueryWorkload, RelevanceJudgments, generate_workload
 from repro.corpus.testbeds import (
@@ -179,23 +179,40 @@ SIZE_SEED_STREAM = 2003
 
 @dataclass
 class ExperimentCell:
-    """One (dataset, sampler, frequency-estimation) cell of the matrix."""
+    """One (dataset, sampler, frequency-estimation) cell of the matrix.
+
+    The testbed documents and the exact summaries built from them are
+    resolved on first access, not with the cell: selection needs only the
+    summaries and the hierarchy, so a cell served from a warm store never
+    decodes its documents. Evaluation and lifecycle ``resample`` load
+    them through the harness caches when they first ask.
+    """
 
     dataset: str
     sampler: str
     frequency_estimation: bool
     scale: str
-    testbed: Testbed
+    hierarchy: Hierarchy
     summaries: dict[str, SampledSummary]
     classifications: dict[str, tuple[str, ...]]
-    exact_summaries: dict[str, ContentSummary]
     metasearcher: Metasearcher = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.metasearcher is None:
             self.metasearcher = Metasearcher(
-                self.testbed.hierarchy, self.summaries, self.classifications
+                self.hierarchy, self.summaries, self.classifications
             )
+
+    @property
+    def testbed(self) -> Testbed:
+        return get_testbed(self.dataset, self.scale)
+
+    @property
+    def exact_summaries(self) -> dict[str, ContentSummary]:
+        """Ground-truth summaries (none for summary-only universes)."""
+        if universe_size(self.dataset) is not None:
+            return {}
+        return get_exact_summaries(self.dataset, self.scale)
 
 
 # -- runtime configuration (artifact store + parallelism) -------------------------
@@ -708,15 +725,17 @@ def get_cell(
             sampler=sampler,
             frequency_estimation=frequency_estimation,
             scale=scale,
-            testbed=testbed,
+            hierarchy=testbed.hierarchy,
             summaries=summaries,
             classifications=classifications,
-            exact_summaries={},
         )
         _CELLS[key] = cell
         return cell
 
-    testbed = get_testbed(dataset, scale)
+    if dataset not in DATASETS:
+        raise ValueError(
+            f"dataset must be one of {DATASETS} or 'universe-<N>'"
+        )
     store = _CONFIG.store
 
     summaries: dict[str, SampledSummary] | None = None
@@ -746,15 +765,18 @@ def get_cell(
                 config=summaries_config,
             )
 
+    # Every testbed is built over the default hierarchy, so the cell need
+    # not load its documents to know its categories.
+    loaded = _TESTBEDS.get((dataset, scale))
+    hierarchy = loaded.hierarchy if loaded is not None else default_hierarchy()
     cell = ExperimentCell(
         dataset=dataset,
         sampler=sampler,
         frequency_estimation=frequency_estimation,
         scale=scale,
-        testbed=testbed,
+        hierarchy=hierarchy,
         summaries=summaries,
         classifications=classifications,
-        exact_summaries=get_exact_summaries(dataset, scale),
     )
     if store:
         shrunk = store.load_artifact(

@@ -463,6 +463,31 @@ def snapshot_delta(before: dict, after: dict) -> dict:
     return delta
 
 
+# -- labeled metric names ----------------------------------------------------------
+
+
+def labeled(name: str, **labels) -> str:
+    """``name{k=v,...}`` with keys sorted, so equal label sets collide."""
+    if not labels:
+        return name
+    inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
+    return f"{name}{{{inner}}}"
+
+
+def split_labeled(name: str) -> tuple[str, dict[str, str]]:
+    """Invert :func:`labeled`: base name and label dict (possibly empty)."""
+    if not name.endswith("}") or "{" not in name:
+        return name, {}
+    base, _, inner = name.partition("{")
+    labels: dict[str, str] = {}
+    for pair in inner[:-1].split(","):
+        if not pair:
+            continue
+        key, _, value = pair.partition("=")
+        labels[key] = value
+    return base, labels
+
+
 #: The process-wide instance all harness code records into.
 _GLOBAL = Instrumentation()
 

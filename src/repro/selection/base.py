@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -118,6 +118,16 @@ class DatabaseScorer(ABC):
         return np.array(
             [self.word_score(float(p), summary, word) for p in probabilities]
         )
+
+    def moment_key(self, word: str) -> Hashable:
+        """The only per-word input :meth:`word_score_vector` reads.
+
+        Two words with equal keys get bit-identical per-word score vectors
+        for the same hypothetical probabilities and summary, so the
+        adaptive algorithm's moment cache may share one entry between
+        them. The default, the word itself, shares nothing.
+        """
+        return word
 
     def hypothetical_probability_scale(self, summary: ContentSummary) -> float:
         """Conversion factor from document-frequency fractions d/|D| to the

@@ -44,7 +44,15 @@ _QUERY_IDS_CACHE_SIZE = 512
 
 
 class UnsupportedSummarySet(ValueError):
-    """The summary set cannot be stacked into a score matrix."""
+    """The summary set cannot be stacked into a score matrix.
+
+    ``reason`` is a short fixed label naming the failed precondition; the
+    metasearcher counts serial fallbacks under it.
+    """
+
+    def __init__(self, message: str, reason: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 def _missing_probability(summary: ContentSummary, regime: str) -> float:
@@ -81,18 +89,20 @@ class SummarySetMatrix:
         previous: "SummarySetMatrix | None" = None,
     ) -> None:
         if not summaries:
-            raise UnsupportedSummarySet("empty summary set")
+            raise UnsupportedSummarySet("empty summary set", "empty")
         names = sorted(summaries)
         ordered = [summaries[name] for name in names]
         vocabs = {id(s.vocab): s.vocab for s in ordered}
         if len(vocabs) != 1:
             raise UnsupportedSummarySet(
-                "summary set spans multiple vocabulary instances"
+                "summary set spans multiple vocabulary instances",
+                "mixed_vocabulary",
             )
         for summary in ordered:
             if type(summary).scored_lookup not in _KNOWN_LOOKUPS:
                 raise UnsupportedSummarySet(
-                    f"{type(summary).__name__} overrides scored_lookup"
+                    f"{type(summary).__name__} overrides scored_lookup",
+                    "custom_lookup",
                 )
         self.names: tuple[str, ...] = tuple(names)
         self.summaries: tuple[ContentSummary, ...] = tuple(ordered)
@@ -469,7 +479,8 @@ class BatchSelectionEngine:
             # one matrix per set is shared across all algorithms' engines.
             if matrix.names != tuple(sorted(summaries)):
                 raise UnsupportedSummarySet(
-                    "shared matrix names a different summary set"
+                    "shared matrix names a different summary set",
+                    "set_mismatch",
                 )
             self.matrix = matrix
         else:
@@ -529,7 +540,8 @@ class AdaptiveBatchEngine:
     ) -> None:
         if set(sampled) != set(shrunk):
             raise UnsupportedSummarySet(
-                "sampled and shrunk sets name different databases"
+                "sampled and shrunk sets name different databases",
+                "set_mismatch",
             )
         self.scorer = scorer
         self.plain = (
@@ -544,15 +556,17 @@ class AdaptiveBatchEngine:
         )
         if self.plain.names != tuple(sorted(sampled)):
             raise UnsupportedSummarySet(
-                "shared matrix names a different summary set"
+                "shared matrix names a different summary set",
+                "set_mismatch",
             )
         if self.plain.vocab is not self.shrunk.vocab:
             raise UnsupportedSummarySet(
-                "sampled and shrunk sets use different vocabularies"
+                "sampled and shrunk sets use different vocabularies",
+                "vocabulary_mismatch",
             )
         if not np.array_equal(self.plain.sizes, self.shrunk.sizes):
             raise UnsupportedSummarySet(
-                "shrunk summaries changed database sizes"
+                "shrunk summaries changed database sizes", "size_mismatch"
             )
         self.names = self.plain.names
         self.sizes = self.plain.sizes

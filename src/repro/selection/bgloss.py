@@ -62,6 +62,10 @@ class BGlossScorer(DatabaseScorer):
     ) -> np.ndarray:
         return np.asarray(probabilities, dtype=np.float64)
 
+    def moment_key(self, word: str) -> None:
+        # The per-word score is the probability itself.
+        return None
+
     def scale(self, summary: ContentSummary) -> float:
         return summary.size
 

@@ -218,6 +218,10 @@ class CoriScorer(DatabaseScorer):
         )
         return 0.4 + 0.6 * t_values * i_value
 
+    def moment_key(self, word: str) -> int:
+        # I(w) depends on the word only through cf(w).
+        return max(self._cf_count(word), 1)
+
     def scale(self, summary: ContentSummary) -> float:
         return 1.0
 

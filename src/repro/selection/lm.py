@@ -122,6 +122,10 @@ class LanguageModelScorer(DatabaseScorer):
             + (1.0 - self.smoothing_lambda) * self.global_probability(word)
         )
 
+    def moment_key(self, word: str) -> float:
+        # Smoothing reads the word only through p(w|G).
+        return self.global_probability(word)
+
     def hypothetical_probability_scale(self, summary: ContentSummary) -> float:
         """Observed tf/df probability ratio of the summary.
 

@@ -93,11 +93,17 @@ class SelectionOutcome:
 
 _ALGORITHMS = ("bgloss", "cori", "lm")
 
-#: Bound on each database's per-(scorer, word) moment cache. The key
-#: space includes out-of-vocabulary query words, so a long-running server
-#: facing a distinct-query stream needs the bound; in batch evaluation
-#: the workload's vocabulary rarely reaches it.
+#: Bound on each database's moment cache, keyed by (scorer, s_k, the
+#: scorer's per-word statistic — see ``DatabaseScorer.moment_key``). LM
+#: keys on p(w|G), which takes as many values as the query stream has
+#: distinct words, so a long-running server needs the bound.
 MOMENT_CACHE_SIZE = 8192
+
+#: Bound on each database's posterior cache, keyed by s_k. Most query
+#: words are absent from a given sample (s_k = 0) and the rest mostly have
+#: small counts, so a few entries serve nearly every lookup; each holds up
+#: to ``AdaptiveConfig.max_support`` floats.
+POSTERIOR_CACHE_SIZE = 8
 
 
 class Metasearcher:
@@ -125,7 +131,9 @@ class Metasearcher:
             hierarchy, self.sampled_summaries, self.classifications
         )
         self._shrunk: dict[str, ShrunkSummary] | None = None
-        self._moment_caches: dict[str, LruCache] = {}
+        #: One uncertainty model per database, kept across queries with
+        #: its support grid and bounded posterior/moment caches.
+        self._decision_models: dict[str, ScoreDistributionModel] = {}
         self._prepared_scorers: dict[tuple[str, str], DatabaseScorer] = {}
         #: Batched scoring is the default; ``use_batched = False`` forces
         #: the serial rank_databases path (the engines are bit-identical,
@@ -133,6 +141,10 @@ class Metasearcher:
         self.use_batched = True
         self._engines: dict[tuple[str, str], BatchSelectionEngine | None] = {}
         self._adaptive_engines: dict[str, AdaptiveBatchEngine | None] = {}
+        #: Why a matrix (key ``("set", plain|shrunk)``) or an engine (key
+        #: ``(algorithm, plain|universal|adaptive)``) is ``None``; labels
+        #: the serial-fallback counter.
+        self._unsupported: dict[tuple[str, str], str] = {}
         #: One score matrix per summary *set* ("plain"/"shrunk"), shared
         #: by every algorithm's engines — matrices depend only on the
         #: summaries, so stacking them once per set instead of once per
@@ -222,14 +234,25 @@ class Metasearcher:
         The mapping must cover every sampled database; insertion order is
         normalized to the sampled-summary order so downstream iteration is
         independent of where the shrunk summaries came from.
+
+        Summaries decoded onto their own copy of the cell's word list (a
+        store load, a worker process's result) are rebound onto the
+        cell's vocabulary instance, so the plain and shrunk sets stack into
+        matrices over one vocabulary and the batched engines apply.
         """
         missing = set(self.sampled_summaries) - set(shrunk)
         if missing:
             raise ValueError(
                 f"shrunk summaries missing for {sorted(missing)[:5]!r}"
             )
+        vocab = self.builder.vocab
         self._shrunk = {
-            name: shrunk[name] for name in self.sampled_summaries
+            name: (
+                shrunk[name].rebind(vocab)
+                if vocab.extends(shrunk[name].vocab)
+                else shrunk[name]
+            )
+            for name in self.sampled_summaries
         }
         # Anything prepared or stacked over the previous R(D) set is stale.
         self._prepared_scorers = {
@@ -243,6 +266,11 @@ class Metasearcher:
             if key[1] != "universal"
         }
         self._adaptive_engines = {}
+        self._unsupported = {
+            key: reason
+            for key, reason in self._unsupported.items()
+            if key[1] == "plain"
+        }
         self._set_matrices.pop("shrunk", None)
         self._matrix_seeds.pop("shrunk", None)
         self._group_indexes.pop("shrunk", None)
@@ -388,6 +416,7 @@ class Metasearcher:
         engine = self._batched_engine(algorithm, key, summaries)
         if engine is not None:
             return engine.rank(query_terms)
+        self._count_fallback(algorithm, key)
         return rank_databases(scorer, query_terms, summaries, prepare=False)
 
     def _mixed_set_ranking(
@@ -407,6 +436,10 @@ class Metasearcher:
                 return engine.rank(query_terms, mask)
             except NotImplementedError:
                 self._adaptive_engines[algorithm.lower()] = None
+                self._unsupported[(algorithm.lower(), "adaptive")] = (
+                    "not_implemented"
+                )
+        self._count_fallback(algorithm, "adaptive")
         summaries = {
             name: (
                 self.shrunk_summaries[name]
@@ -419,6 +452,24 @@ class Metasearcher:
         # statistics (CORI's cf/mcw) must be recomputed here.
         return rank_databases(
             self.make_scorer(algorithm), query_terms, summaries
+        )
+
+    def _count_fallback(self, algorithm: str, summary_set: str) -> None:
+        """Count one request ranked serially instead of batched."""
+        from repro.evaluation.instrument import count, labeled
+
+        algorithm = algorithm.lower()
+        if not self.use_batched:
+            reason = "batching_off"
+        else:
+            reason = self._unsupported.get((algorithm, summary_set), "unknown")
+        count(
+            labeled(
+                "select.serial_fallback",
+                algorithm=algorithm,
+                summary_set=summary_set,
+                reason=reason,
+            )
         )
 
     def _set_matrix(self, key: str) -> SummarySetMatrix | None:
@@ -442,8 +493,9 @@ class Metasearcher:
                     matrix = SummarySetMatrix(
                         summaries, previous=self._matrix_seeds.get(key)
                     )
-            except UnsupportedSummarySet:
+            except UnsupportedSummarySet as exc:
                 matrix = None
+                self._unsupported[("set", key)] = exc.reason
             self._set_matrices[key] = matrix
         return self._set_matrices[key]
 
@@ -463,9 +515,13 @@ class Metasearcher:
             from repro.evaluation.instrument import span
 
             scorer = self._prepared_scorer(algorithm, key, summaries)
-            matrix = self._set_matrix("plain" if key == "plain" else "shrunk")
+            set_key = "plain" if key == "plain" else "shrunk"
+            matrix = self._set_matrix(set_key)
             if matrix is None:
                 engine = None
+                self._unsupported[cache_key] = self._unsupported[
+                    ("set", set_key)
+                ]
             else:
                 try:
                     with span(
@@ -480,8 +536,9 @@ class Metasearcher:
                             prepare=False,
                             matrix=matrix,
                         )
-                except UnsupportedSummarySet:
+                except UnsupportedSummarySet as exc:
                     engine = None
+                    self._unsupported[cache_key] = exc.reason
             self._engines[cache_key] = engine
         return self._engines[cache_key]
 
@@ -497,6 +554,9 @@ class Metasearcher:
             shrunk_matrix = self._set_matrix("shrunk")
             if plain_matrix is None or shrunk_matrix is None:
                 engine = None
+                self._unsupported[(key, "adaptive")] = self._unsupported[
+                    ("set", "plain" if plain_matrix is None else "shrunk")
+                ]
             else:
                 try:
                     with span(
@@ -512,8 +572,9 @@ class Metasearcher:
                             plain_matrix=plain_matrix,
                             shrunk_matrix=shrunk_matrix,
                         )
-                except UnsupportedSummarySet:
+                except UnsupportedSummarySet as exc:
                     engine = None
+                    self._unsupported[(key, "adaptive")] = exc.reason
             self._adaptive_engines[key] = engine
         return self._adaptive_engines[key]
 
@@ -648,6 +709,23 @@ class Metasearcher:
             self._prepared_scorers[cache_key] = scorer
         return scorer
 
+    def _decision_model(
+        self, name: str, sampled: SampledSummary
+    ) -> ScoreDistributionModel:
+        """The database's uncertainty model, built on first use."""
+        model = self._decision_models.get(name)
+        if model is None:
+            model = self._decision_models.setdefault(
+                name,
+                ScoreDistributionModel(
+                    sampled,
+                    self.adaptive_config,
+                    moment_cache=LruCache(MOMENT_CACHE_SIZE),
+                    posterior_cache=LruCache(POSTERIOR_CACHE_SIZE),
+                ),
+            )
+        return model
+
     def _adaptive_decisions(
         self,
         scorer: DatabaseScorer,
@@ -672,21 +750,10 @@ class Metasearcher:
                     f"adaptive decisions for {len(self.sampled_summaries)} "
                     f"databases exceeded the deadline after {len(decisions)}"
                 )
-            cache = self._moment_caches.get(name)
-            if cache is None:
-                cache = self._moment_caches.setdefault(
-                    name, LruCache(MOMENT_CACHE_SIZE)
-                )
-            model = ScoreDistributionModel(
-                sampled, self.adaptive_config, moment_cache=cache
-            )
-            mean, std = model.score_moments(scorer, query_terms)
-            if floors is not None:
-                floor = floors[name]
-            else:
-                floor = scorer.floor_score(query_terms, sampled)
-            decisions[name] = AdaptiveDecision(
-                use_shrinkage=std > mean - floor, mean=mean, std=std, floor=floor
+            decisions[name] = self._decision_model(name, sampled).decide(
+                scorer,
+                query_terms,
+                None if floors is None else floors[name],
             )
         count("adaptive.decisions", len(decisions))
         count(

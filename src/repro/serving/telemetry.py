@@ -39,6 +39,8 @@ from repro.evaluation.instrument import (
     _percentile,
     get_collector,
     get_instrumentation,
+    labeled,
+    split_labeled,
 )
 
 #: Environment knobs for the slow-query log (CLI flags override).
@@ -50,31 +52,6 @@ _DEFAULT_SLOW_THRESHOLD_SECONDS = 0.1
 _DEFAULT_SLOW_LOG_MAX_BYTES = 1 << 20
 
 _REQUEST_SEQUENCE = itertools.count(1)
-
-
-# -- labeled metric names ----------------------------------------------------------
-
-
-def labeled(name: str, **labels) -> str:
-    """``name{k=v,...}`` with keys sorted, so equal label sets collide."""
-    if not labels:
-        return name
-    inner = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-    return f"{name}{{{inner}}}"
-
-
-def split_labeled(name: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`labeled`: base name and label dict (possibly empty)."""
-    if not name.endswith("}") or "{" not in name:
-        return name, {}
-    base, _, inner = name.partition("{")
-    labels: dict[str, str] = {}
-    for pair in inner[:-1].split(","):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        labels[key] = value
-    return base, labels
 
 
 def next_request_id() -> str:

@@ -23,6 +23,7 @@ working unchanged.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable, Mapping
 
@@ -150,6 +151,22 @@ class ContentSummary:
         translated = vocab.intern_many(self.vocab.words_of(ids))
         order = np.argsort(translated, kind="stable")
         return translated[order], values[order]
+
+    def rebind(self, vocab: Vocabulary) -> ContentSummary:
+        """This summary over ``vocab``, which must extend its own word list.
+
+        Ids keep their meaning under :meth:`Vocabulary.extends`, so the
+        copy shares every array and every lazily built view; only the
+        vocabulary reference changes. Lets a store-decoded summary join
+        matrices stacked over the live cell's vocabulary instance.
+        """
+        if vocab is self.vocab:
+            return self
+        if not vocab.extends(self.vocab):
+            raise ValueError("target vocabulary does not extend the summary's")
+        rebound = copy.copy(self)
+        rebound.vocab = vocab
+        return rebound
 
     def lookup_ids(self, ids: np.ndarray, regime: str = "df") -> np.ndarray:
         """Probabilities at ``ids`` (own-vocab id space); missing ids → 0.

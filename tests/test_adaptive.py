@@ -123,10 +123,15 @@ class TestScoreMoments:
         model = ScoreDistributionModel(make_summary(), moment_cache=cache)
         scorer = BGlossScorer()
         model.score_moments(scorer, ["common"])
-        assert (scorer.name, "common") in cache
-        cached = cache[(scorer.name, "common")]
+        # Keyed by (scorer, s_k, moment_key): bGlOSS reads no per-word
+        # statistic, so "common" (s_k = 60) lands under a None word key.
+        key = (scorer.name, 60, scorer.moment_key("common"))
+        assert key == (scorer.name, 60, None)
+        assert list(cache) == [key]
+        cached = cache[key]
         model.score_moments(scorer, ["common"])
-        assert cache[(scorer.name, "common")] == cached
+        assert cache[key] == cached
+        assert list(cache) == [key]
 
     def test_lm_moments(self):
         scorer = LanguageModelScorer({"common": 0.01})

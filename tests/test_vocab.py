@@ -92,3 +92,20 @@ class TestSharedUsage:
         (y_id,) = vocab.ids_of(["y"]).tolist()
         assert a.lookup_ids(np.array([y_id]), "df")[0] == pytest.approx(0.25)
         assert b.lookup_ids(np.array([y_id]), "df")[0] == pytest.approx(0.75)
+
+    def test_rebind_moves_a_summary_onto_an_extending_vocabulary(self):
+        from repro.summaries.summary import ContentSummary
+
+        copy = Vocabulary(["x", "y"])
+        summary = ContentSummary(10, {"y": 0.5, "x": 0.25}, vocab=copy)
+        live = Vocabulary(["x", "y", "z"])
+        assert live.extends(copy) and live.extends(live)
+        assert not copy.extends(live)
+        assert not Vocabulary(["y", "x"]).extends(copy)
+        rebound = summary.rebind(live)
+        assert rebound.vocab is live and summary.vocab is copy
+        assert rebound.regime_arrays("df")[0] is summary.regime_arrays("df")[0]
+        assert rebound.p("y") == 0.5
+        assert summary.rebind(copy) is summary
+        with pytest.raises(ValueError):
+            summary.rebind(Vocabulary(["y", "x"]))
