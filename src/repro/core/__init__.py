@@ -12,7 +12,6 @@ from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveDecision,
     ScoreDistributionModel,
-    choose_summaries,
     decide_summary,
 )
 from repro.core.category import CategorySummaryBuilder
@@ -30,7 +29,6 @@ __all__ = [
     "ScoreDistributionModel",
     "ShrinkageConfig",
     "ShrunkSummary",
-    "choose_summaries",
     "decide_summary",
     "shrink_all_summaries",
     "shrink_database_summary",

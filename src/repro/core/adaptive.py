@@ -20,22 +20,23 @@ the selection algorithm would assign is *uncertain*. The uncertainty model:
   exceeds its mean, the sampled summary is deemed unreliable and the
   shrunk summary R(D) is used instead (Figure 3).
 
-For scorers that decompose over query words (all three in the paper —
-bGlOSS and LM multiply per-word factors, CORI averages them), the mean and
-variance are computed *analytically* from per-word moments, the fast path
-Section 4 describes; a Monte-Carlo fallback covers arbitrary scorers.
+The scorer must decompose over query words (all three in the paper do —
+bGlOSS and LM multiply per-word factors, CORI averages them): the mean and
+variance are then computed *analytically* from per-word moments, the fast
+path Section 4 describes. The Monte-Carlo estimate over sampled
+d_1..d_n combinations survives as the test oracle for this path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.lru import MISSING
-from repro.summaries.summary import ContentSummary, SampledSummary
+from repro.summaries.summary import SampledSummary
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,6 @@ class AdaptiveConfig:
     #: Cap on the posterior support size; larger databases use a geometric
     #: grid of this many points (posteriors are smooth in log d).
     max_support: int = 4000
-    #: Monte-Carlo combinations examined between convergence checks, and
-    #: their overall cap ("a few hundred", Section 4).
-    mc_batch: int = 100
-    mc_max_combinations: int = 600
-    mc_tolerance: float = 0.02
-    #: For additive scorers (CORI), aggregate per-word standard deviations
-    #: linearly (the Cauchy–Schwarz upper bound, exact under maximal
-    #: correlation) instead of in quadrature. Under independence the
-    #: aggregate std shrinks as 1/sqrt(|q|) while the mean does not, so
-    #: the std > mean test could never fire for multi-word queries on a
-    #: floor-bounded scorer — yet Table 10 reports CORI applying shrinkage
-    #: for 13–17% of pairs. The conservative bound restores the intended
-    #: behaviour: uncertainty is flagged when the *per-word* estimates are
-    #: individually unreliable.
-    conservative_sum_variance: bool = True
 
 
 @dataclass(frozen=True)
@@ -226,9 +212,12 @@ class ScoreDistributionModel:
         self, scorer, query_terms: Sequence[str]
     ) -> tuple[float, float]:
         """Mean and standard deviation of s(q, D) under the posterior."""
-        if scorer.word_decomposition in ("product", "sum"):
-            return self._analytic_moments(scorer, query_terms)
-        return self._monte_carlo_moments(scorer, query_terms)
+        if scorer.word_decomposition not in ("product", "sum"):
+            raise TypeError(
+                f"{type(scorer).__name__} has no word decomposition; the "
+                "adaptive model needs per-word score moments"
+            )
+        return self._analytic_moments(scorer, query_terms)
 
     def _word_score_moments(
         self, scorer, word: str
@@ -280,73 +269,17 @@ class ScoreDistributionModel:
                 math.sqrt(max(second - first**2, 0.0))
                 for first, second in zip(firsts, seconds)
             ]
-            if self.config.conservative_sum_variance:
-                std = factor * sum(deviations)  # Cauchy–Schwarz upper bound
-            else:
-                std = factor * math.sqrt(sum(d**2 for d in deviations))
-            return mean, std
+            # Per-word deviations add linearly: the Cauchy–Schwarz upper
+            # bound, exact under maximal correlation. In quadrature
+            # (independence) the aggregate std shrinks as 1/sqrt(|q|) while
+            # the mean does not, so std > mean could never fire for
+            # multi-word queries on a floor-bounded scorer — yet Table 10
+            # reports CORI applying shrinkage for 13–17% of pairs. The
+            # linear bound flags uncertainty when the *per-word* estimates
+            # are individually unreliable (DESIGN.md §5).
+            return mean, factor * sum(deviations)
         variance = mean_square - mean**2
         return mean, math.sqrt(max(variance, 0.0))
-
-    # -- Monte-Carlo fallback --------------------------------------------------
-
-    def _monte_carlo_moments(
-        self,
-        scorer,
-        query_terms: Sequence[str],
-        rng: np.random.Generator | None = None,
-    ) -> tuple[float, float]:
-        """Random d_1..d_n combinations until mean and variance stabilize.
-
-        Draws are batched per word — one vectorized ``rng.choice`` and one
-        ``word_score_vector`` call per word per convergence round — instead
-        of one scalar draw per (sample, word). The rng therefore consumes
-        draws word-blocked rather than sample-interleaved: the sample set
-        differs from the scalar formulation's for the same seed, but it is
-        the same posterior product distribution, and the moments agree
-        within Monte-Carlo tolerance (asserted by the regression test).
-        """
-        rng = rng or np.random.default_rng(0)
-        config = self.config
-        database_size = max(self.summary.size, 1.0)
-        scale = scorer.hypothetical_probability_scale(self.summary)
-        posteriors = [self.word_posterior(word) for word in query_terms]
-
-        samples: list[float] = []
-        previous: tuple[float, float] | None = None
-        while len(samples) < config.mc_max_combinations:
-            batch = config.mc_batch
-            columns = [
-                scorer.word_score_vector(
-                    support[rng.choice(support.size, size=batch, p=probabilities)]
-                    * scale
-                    / database_size,
-                    self.summary,
-                    word,
-                )
-                for word, (support, probabilities) in zip(query_terms, posteriors)
-            ]
-            if columns:
-                rows = np.stack(columns, axis=1).tolist()
-            else:
-                rows = [[] for _ in range(batch)]
-            samples.extend(
-                scorer.combine(word_scores, self.summary) for word_scores in rows
-            )
-            mean = float(np.mean(samples))
-            std = float(np.std(samples))
-            if previous is not None:
-                previous_mean, previous_std = previous
-                mean_stable = math.isclose(
-                    mean, previous_mean, rel_tol=config.mc_tolerance, abs_tol=1e-12
-                )
-                std_stable = math.isclose(
-                    std, previous_std, rel_tol=config.mc_tolerance, abs_tol=1e-12
-                )
-                if mean_stable and std_stable:
-                    break
-            previous = (mean, std)
-        return float(np.mean(samples)), float(np.std(samples))
 
 
 def decide_summary(
@@ -368,50 +301,3 @@ def decide_summary(
     return ScoreDistributionModel(sampled_summary, config).decide(
         scorer, query_terms, floor
     )
-
-
-def choose_summaries(
-    scorer,
-    query_terms: Sequence[str],
-    sampled_summaries: dict[str, SampledSummary],
-    shrunk_summaries: dict[str, ContentSummary],
-    config: AdaptiveConfig | None = None,
-    floors: Mapping[str, float] | None = None,
-) -> tuple[dict[str, ContentSummary], dict[str, AdaptiveDecision]]:
-    """Pick A(D) per database: R(D) when uncertain, S(D) otherwise.
-
-    Floor scores are computed for all databases in one batched pass when
-    the summaries stack into a score matrix (the common shared-vocabulary
-    case); pass ``floors`` to reuse floors the caller already computed.
-    """
-    # Local imports: repro.evaluation (and repro.selection.batch, which
-    # reaches into repro.core) would cycle at package-init time — see the
-    # note in shrinkage._em_core.
-    from repro.evaluation.instrument import count
-
-    if floors is None:
-        from repro.selection.batch import batch_floor_map
-
-        floors = batch_floor_map(scorer, query_terms, sampled_summaries)
-
-    chosen: dict[str, ContentSummary] = {}
-    decisions: dict[str, AdaptiveDecision] = {}
-    for name, sampled in sampled_summaries.items():
-        decision = decide_summary(
-            scorer,
-            query_terms,
-            sampled,
-            config,
-            floor=None if floors is None else floors.get(name),
-        )
-        decisions[name] = decision
-        if decision.use_shrinkage and name in shrunk_summaries:
-            chosen[name] = shrunk_summaries[name]
-        else:
-            chosen[name] = sampled
-    count("adaptive.decisions", len(decisions))
-    count(
-        "adaptive.use_shrinkage",
-        sum(1 for d in decisions.values() if d.use_shrinkage),
-    )
-    return chosen, decisions

@@ -226,10 +226,10 @@ class DatabaseScorer(ABC):
         """(scores, floors) against a per-query plain/shrunk row mix.
 
         ``mask`` selects the shrunk row per database. Corpus statistics
-        must reflect the *mixed* set (the serial path re-prepares on the
-        mixed dict per query), so there is no generic fallback — scorers
-        whose prepare state depends on the summary set override this;
-        the engine wiring falls back to the serial path otherwise.
+        must reflect the *mixed* set (as a fresh ``prepare`` on the
+        materialized mixed dict would), and only the scorer knows which
+        of its statistics depend on the set, so there is no generic
+        version: every scorer the adaptive strategy serves implements it.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support mixed batch scoring"

@@ -22,9 +22,13 @@ so every database's score comes out bit-for-bit equal to
 comparisons for every scorer across plain, shrunk, and adaptive-mixed
 summary sets.
 
-Summary sets that mix vocabulary instances, or summary types with custom
-``scored_lookup`` semantics the engine does not know, raise
-:class:`UnsupportedSummarySet`; callers fall back to the serial path.
+Every summary set stacks. A matrix is laid out over one vocabulary — the
+caller's (the cell vocabulary, for the metasearcher), else the summaries'
+shared one. Rows of a summary built on another vocabulary are translated
+into it once, at build time, through ``regime_arrays(regime, vocab)``; the
+summaries themselves stay untouched, so summary-level reductions such as
+``df_mass`` keep the id order :func:`rank_databases` folds them in. A
+summary type with its own ``scored_lookup`` semantics is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -36,23 +40,12 @@ import numpy as np
 
 from repro.core.lru import MISSING, LruCache
 from repro.core.shrinkage import ShrunkSummary
+from repro.core.vocab import Vocabulary
 from repro.selection.base import DatabaseScorer, RankedDatabase
 from repro.summaries.summary import ContentSummary, SampledSummary
 
 #: Resolved query-id arrays cached per matrix (bounded for serve).
 _QUERY_IDS_CACHE_SIZE = 512
-
-
-class UnsupportedSummarySet(ValueError):
-    """The summary set cannot be stacked into a score matrix.
-
-    ``reason`` is a short fixed label naming the failed precondition; the
-    metasearcher counts serial fallbacks under it.
-    """
-
-    def __init__(self, message: str, reason: str) -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 def _missing_probability(summary: ContentSummary, regime: str) -> float:
@@ -75,38 +68,44 @@ class SummarySetMatrix:
     """Stacked columnar probabilities for one fixed summary set.
 
     Rows follow sorted database-name order (the iteration order of
-    :func:`~repro.selection.base.rank_databases`); columns are vocabulary
-    ids, frozen at build time. Each row reproduces the summary's
-    ``scored_lookup`` semantics exactly: plain summaries default missing
-    ids to 0, shrunk summaries to their uniform-component floor, and ids
-    inside the df support but without regime mass stay 0 (not floor) —
-    mirroring :meth:`ShrunkSummary.scored_lookup`'s support mask.
+    :func:`~repro.selection.base.rank_databases`); columns are ids of
+    :attr:`vocab`, frozen at build time. ``vocab`` defaults to the
+    summaries' one shared vocabulary (a fresh one when they have none in
+    common); a summary on another vocabulary has its words interned into
+    ``vocab`` here and its rows translated when they are built. Each row
+    reproduces the summary's ``scored_lookup`` semantics exactly: plain
+    summaries default missing ids to 0, shrunk summaries to their
+    uniform-component floor, and ids inside the df support but without
+    regime mass stay 0 (not floor) — mirroring
+    :meth:`ShrunkSummary.scored_lookup`'s support mask.
     """
 
     def __init__(
         self,
         summaries: Mapping[str, ContentSummary],
+        vocab: Vocabulary | None = None,
         previous: "SummarySetMatrix | None" = None,
     ) -> None:
-        if not summaries:
-            raise UnsupportedSummarySet("empty summary set", "empty")
         names = sorted(summaries)
         ordered = [summaries[name] for name in names]
-        vocabs = {id(s.vocab): s.vocab for s in ordered}
-        if len(vocabs) != 1:
-            raise UnsupportedSummarySet(
-                "summary set spans multiple vocabulary instances",
-                "mixed_vocabulary",
-            )
         for summary in ordered:
             if type(summary).scored_lookup not in _KNOWN_LOOKUPS:
-                raise UnsupportedSummarySet(
-                    f"{type(summary).__name__} overrides scored_lookup",
-                    "custom_lookup",
+                raise TypeError(
+                    f"{type(summary).__name__} overrides scored_lookup"
                 )
+        if vocab is None:
+            vocabs = {id(s.vocab): s.vocab for s in ordered}
+            vocab = (
+                next(iter(vocabs.values())) if len(vocabs) == 1 else Vocabulary()
+            )
+        for summary in ordered:
+            if summary.vocab is not vocab:
+                # Intern the foreign words now, so the width covers them.
+                for regime in ("df", "tf"):
+                    summary.regime_arrays(regime, vocab)
         self.names: tuple[str, ...] = tuple(names)
         self.summaries: tuple[ContentSummary, ...] = tuple(ordered)
-        self.vocab = next(iter(vocabs.values()))
+        self.vocab = vocab
         self.sizes = np.array([s.size for s in ordered], dtype=np.float64)
         self._width = len(self.vocab)
         self._dense: dict[str, np.ndarray] = {}
@@ -154,8 +153,8 @@ class SummarySetMatrix:
             dense_row.fill(default)
             # Ids in the df support but without regime mass score 0,
             # not the floor (ShrunkSummary's support mask).
-            dense_row[summary.regime_arrays("df")[0]] = 0.0
-        ids, values = summary.regime_arrays(regime)
+            dense_row[summary.regime_arrays("df", self.vocab)[0]] = 0.0
+        ids, values = summary.regime_arrays(regime, self.vocab)
         positive = values > 0.0
         if positive.all():
             dense_row[ids] = values
@@ -369,10 +368,14 @@ class SummarySetMatrix:
                 (len(self.summaries), self._width), dtype=bool
             )
             for row, summary in enumerate(self.summaries):
-                if isinstance(summary, ShrunkSummary):
+                if not isinstance(summary, ShrunkSummary):
+                    ids = summary.regime_arrays("df", self.vocab)[0]
+                elif summary.vocab is self.vocab:
                     ids = summary.effective_ids()
                 else:
-                    ids = summary.regime_arrays("df")[0]
+                    ids = self.vocab.ids_of(
+                        summary.vocab.words_of(summary.effective_ids())
+                    )
                 present[row, ids] = True
             self._present = present
         return self._present
@@ -395,22 +398,6 @@ class SummarySetMatrix:
                 [s.df_mass() for s in self.summaries], dtype=np.float64
             )
         return self._cw
-
-
-def batch_floor_map(
-    scorer: DatabaseScorer,
-    query_terms: Sequence[str],
-    summaries: Mapping[str, ContentSummary],
-) -> dict[str, float] | None:
-    """Floor scores for every database in one batched pass, or ``None``
-    when the set does not stack (the caller falls back to per-database
-    ``floor_score`` calls)."""
-    try:
-        matrix = SummarySetMatrix(summaries)
-    except UnsupportedSummarySet:
-        return None
-    floors = scorer.batch_floor_scores(query_terms, matrix)
-    return dict(zip(matrix.names, floors.tolist()))
 
 
 def ranked_from_arrays(
@@ -468,25 +455,19 @@ class BatchSelectionEngine:
         scorer: DatabaseScorer,
         summaries: Mapping[str, ContentSummary],
         prepare: bool = True,
-        previous_matrix: SummarySetMatrix | None = None,
         matrix: SummarySetMatrix | None = None,
+        vocab: Vocabulary | None = None,
     ) -> None:
         if prepare:
             scorer.prepare(summaries)
         self.scorer = scorer
-        if matrix is not None:
+        if matrix is None:
+            matrix = SummarySetMatrix(summaries, vocab)
+        elif matrix.names != tuple(sorted(summaries)):
             # Matrices depend only on the summary set, not the scorer, so
             # one matrix per set is shared across all algorithms' engines.
-            if matrix.names != tuple(sorted(summaries)):
-                raise UnsupportedSummarySet(
-                    "shared matrix names a different summary set",
-                    "set_mismatch",
-                )
-            self.matrix = matrix
-        else:
-            self.matrix = SummarySetMatrix(
-                summaries, previous=previous_matrix
-            )
+            raise ValueError("shared matrix names a different summary set")
+        self.matrix = matrix
         self.names = self.matrix.names
 
     def score_arrays(
@@ -519,8 +500,9 @@ class AdaptiveBatchEngine:
 
     The SHRINKAGE strategy picks, per query and database, either the
     sampled summary S(D) or the shrunk summary R(D) (Figure 3). The
-    serial path materializes that mixed dict and re-runs ``prepare`` on
-    it for every query; here both candidate sets are stacked once, and a
+    reference :func:`rank_databases` would materialize that mixed dict and
+    re-run ``prepare`` on it for every query; here both candidate sets are
+    stacked once, over one vocabulary (the plain matrix's), and a
     per-query boolean mask (aligned to :attr:`names`) selects rows.
     Set-level CORI statistics (cf, mcw) are recomputed per query from
     precomputed presence matrices and cw vectors — bit-identical to a
@@ -533,44 +515,31 @@ class AdaptiveBatchEngine:
         scorer: DatabaseScorer,
         sampled: Mapping[str, SampledSummary],
         shrunk: Mapping[str, ContentSummary],
-        previous_plain: SummarySetMatrix | None = None,
-        previous_shrunk: SummarySetMatrix | None = None,
         plain_matrix: SummarySetMatrix | None = None,
         shrunk_matrix: SummarySetMatrix | None = None,
     ) -> None:
         if set(sampled) != set(shrunk):
-            raise UnsupportedSummarySet(
-                "sampled and shrunk sets name different databases",
-                "set_mismatch",
-            )
+            raise ValueError("sampled and shrunk sets name different databases")
         self.scorer = scorer
         self.plain = (
             plain_matrix
             if plain_matrix is not None
-            else SummarySetMatrix(sampled, previous=previous_plain)
+            else SummarySetMatrix(sampled)
         )
         self.shrunk = (
             shrunk_matrix
             if shrunk_matrix is not None
-            else SummarySetMatrix(shrunk, previous=previous_shrunk)
+            else SummarySetMatrix(shrunk, self.plain.vocab)
         )
         if self.plain.names != tuple(sorted(sampled)):
-            raise UnsupportedSummarySet(
-                "shared matrix names a different summary set",
-                "set_mismatch",
-            )
+            raise ValueError("shared matrix names a different summary set")
         if self.plain.vocab is not self.shrunk.vocab:
-            raise UnsupportedSummarySet(
-                "sampled and shrunk sets use different vocabularies",
-                "vocabulary_mismatch",
-            )
+            raise ValueError("sampled and shrunk matrices use different vocabularies")
         if not np.array_equal(self.plain.sizes, self.shrunk.sizes):
-            raise UnsupportedSummarySet(
-                "shrunk summaries changed database sizes", "size_mismatch"
-            )
+            raise ValueError("shrunk summaries changed database sizes")
         self.names = self.plain.names
         self.sizes = self.plain.sizes
-        # The serial path folds CORI's total cw in the *insertion* order
+        # The reference path folds CORI's total cw in the *insertion* order
         # of the mixed dict, which follows the sampled-summaries mapping;
         # row order is sorted-name. Keep the permutation for exact folds.
         row_of = {name: row for row, name in enumerate(self.names)}

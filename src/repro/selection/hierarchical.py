@@ -18,13 +18,17 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 
 from repro.core.category import CategorySummaryBuilder
-from repro.selection.base import DatabaseScorer, rank_databases
-from repro.selection.batch import BatchSelectionEngine, UnsupportedSummarySet
+from repro.selection.base import DatabaseScorer, RankedDatabase
+from repro.selection.batch import BatchSelectionEngine
 from repro.summaries.summary import ContentSummary
 
 
 class HierarchicalSelector:
-    """Hierarchical selection over category summaries."""
+    """Hierarchical selection over category summaries.
+
+    The builder must not change while the selector is in use: the batch
+    engines cached per node stack the summaries it held on first use.
+    """
 
     def __init__(
         self,
@@ -35,10 +39,11 @@ class HierarchicalSelector:
         self.scorer = scorer
         self.builder = builder
         self.summaries = dict(summaries)
-        #: Per-subtree batch engines for the leaf rankings (None for
-        #: summary sets that do not stack; those stay serial).
+        #: One batch engine per (node path, role) — the node's child
+        #: categories, the databases under a leaf-most node, or the
+        #: databases classified directly at an internal node.
         self._engines: dict[
-            tuple[str, ...], BatchSelectionEngine | None
+            tuple[tuple[str, ...], str], BatchSelectionEngine
         ] = {}
 
     def select(self, query_terms: Sequence[str], k: int) -> list[str]:
@@ -55,7 +60,15 @@ class HierarchicalSelector:
             if self.builder.databases_under(child.path)
         ]
         if not children:
-            return self._rank_databases_under(node.path, query_terms, k)
+            names = self.builder.databases_under(node.path)
+            if not names:
+                return []
+            ranked = self._rank(
+                (node.path, "databases"),
+                {name: self.summaries[name] for name in names},
+                query_terms,
+            )
+            return [entry.name for entry in ranked if entry.selected][:k]
 
         # Score the child categories as if they were databases, using their
         # Definition 3 category summaries.
@@ -63,7 +76,7 @@ class HierarchicalSelector:
             "/".join(child.path): self.builder.category_summary(child.path)
             for child in children
         }
-        ranking = rank_databases(self.scorer, query_terms, child_summaries)
+        ranking = self._rank((node.path, "children"), child_summaries, query_terms)
 
         selected: list[str] = []
         for entry in ranking:
@@ -84,10 +97,10 @@ class HierarchicalSelector:
         if len(selected) < k:
             direct = self._direct_databases(node)
             if direct:
-                ranked = rank_databases(
-                    self.scorer,
-                    query_terms,
+                ranked = self._rank(
+                    (node.path, "direct"),
                     {name: self.summaries[name] for name in direct},
+                    query_terms,
                 )
                 for entry in ranked:
                     if len(selected) >= k:
@@ -96,40 +109,24 @@ class HierarchicalSelector:
                         selected.append(entry.name)
         return selected[:k]
 
-    def _rank_databases_under(
-        self, path: tuple[str, ...], query_terms: Sequence[str], k: int
-    ) -> list[str]:
-        names = self.builder.databases_under(path)
-        if not names:
-            return []
-        summaries = {name: self.summaries[name] for name in names}
-        engine = self._subtree_engine(path, summaries)
-        if engine is not None:
-            # The scorer is shared across subtrees, so its corpus-level
-            # statistics must be re-prepared on this subtree's set — the
-            # same preparation rank_databases performs, keeping the two
-            # paths bit-identical.
-            self.scorer.prepare(summaries)
-            ranked = engine.rank(query_terms)
-        else:
-            ranked = rank_databases(self.scorer, query_terms, summaries)
-        return [entry.name for entry in ranked if entry.selected][:k]
-
-    def _subtree_engine(
+    def _rank(
         self,
-        path: tuple[str, ...],
+        key: tuple[tuple[str, ...], str],
         summaries: Mapping[str, ContentSummary],
-    ) -> BatchSelectionEngine | None:
-        """A cached batch engine for one subtree's database set."""
-        if path not in self._engines:
-            try:
-                engine = BatchSelectionEngine(
-                    self.scorer, summaries, prepare=False
-                )
-            except UnsupportedSummarySet:
-                engine = None
-            self._engines[path] = engine
-        return self._engines[path]
+        query_terms: Sequence[str],
+    ) -> list[RankedDatabase]:
+        """Rank one node's candidate set on its cached batch engine."""
+        engine = self._engines.get(key)
+        if engine is None:
+            engine = self._engines[key] = BatchSelectionEngine(
+                self.scorer, summaries, prepare=False, vocab=self.builder.vocab
+            )
+        # The scorer is shared across nodes, so its corpus-level
+        # statistics must be re-prepared on this candidate set — the same
+        # preparation rank_databases performs, keeping the two
+        # bit-identical.
+        self.scorer.prepare(summaries)
+        return engine.rank(query_terms)
 
     def _direct_databases(self, node) -> list[str]:
         """Databases classified exactly at ``node`` (not under a child)."""

@@ -29,12 +29,13 @@ from repro.core.category import CategorySummaryBuilder
 from repro.core.lru import LruCache
 from repro.core.shrinkage import ShrinkageConfig, ShrunkSummary, shrink_all_summaries
 from repro.corpus.hierarchy import Hierarchy
-from repro.selection.base import DatabaseScorer, RankedDatabase, rank_databases
+from repro.selection.base import DatabaseScorer, RankedDatabase
+# Re-exported: rank_databases is the reference ranking the engines must equal.
+from repro.selection.base import rank_databases as rank_databases  # noqa: F401
 from repro.selection.batch import (
     AdaptiveBatchEngine,
     BatchSelectionEngine,
     SummarySetMatrix,
-    UnsupportedSummarySet,
 )
 from repro.selection.topk import (
     GroupIndex,
@@ -135,24 +136,17 @@ class Metasearcher:
         #: its support grid and bounded posterior/moment caches.
         self._decision_models: dict[str, ScoreDistributionModel] = {}
         self._prepared_scorers: dict[tuple[str, str], DatabaseScorer] = {}
-        #: Batched scoring is the default; ``use_batched = False`` forces
-        #: the serial rank_databases path (the engines are bit-identical,
-        #: so this is a debugging escape hatch, not a semantic switch).
-        self.use_batched = True
-        self._engines: dict[tuple[str, str], BatchSelectionEngine | None] = {}
-        self._adaptive_engines: dict[str, AdaptiveBatchEngine | None] = {}
-        #: Why a matrix (key ``("set", plain|shrunk)``) or an engine (key
-        #: ``(algorithm, plain|universal|adaptive)``) is ``None``; labels
-        #: the serial-fallback counter.
-        self._unsupported: dict[tuple[str, str], str] = {}
-        #: One score matrix per summary *set* ("plain"/"shrunk"), shared
-        #: by every algorithm's engines — matrices depend only on the
-        #: summaries, so stacking them once per set instead of once per
-        #: (algorithm, set) cuts snapshot memory by the algorithm count.
-        self._set_matrices: dict[str, SummarySetMatrix | None] = {}
-        self._group_indexes: dict[str, GroupIndex | None] = {}
-        self._topk: dict[tuple[str, str], TopKEngine | None] = {}
-        self._mixed_topk: dict[str, MixedTopKEngine | None] = {}
+        self._engines: dict[tuple[str, str], BatchSelectionEngine] = {}
+        self._adaptive_engines: dict[str, AdaptiveBatchEngine] = {}
+        #: One score matrix per summary *set* ("plain"/"shrunk"), stacked
+        #: over the cell vocabulary and shared by every algorithm's
+        #: engines — matrices depend only on the summaries, so stacking
+        #: them once per set instead of once per (algorithm, set) cuts
+        #: snapshot memory by the algorithm count.
+        self._set_matrices: dict[str, SummarySetMatrix] = {}
+        self._group_indexes: dict[str, GroupIndex] = {}
+        self._topk: dict[tuple[str, str], TopKEngine] = {}
+        self._mixed_topk: dict[str, MixedTopKEngine] = {}
         self._hierarchical: dict[str, HierarchicalSelector] = {}
         #: Copy-on-write seeds: previous-snapshot matrices engines may
         #: reuse rows from (see :meth:`seed_matrices_from`).
@@ -166,9 +160,7 @@ class Metasearcher:
         instead of re-densifying them — the "prebuilt SummarySetMatrix
         stacks" part of the snapshot contract.
         """
-        for key, matrix in previous._set_matrices.items():
-            if matrix is not None:
-                self._matrix_seeds[key] = matrix
+        self._matrix_seeds.update(previous._set_matrices)
 
     def ensure_engines(self, roles: set[str] | None = None) -> None:
         """Construct batched engines without issuing a query.
@@ -189,13 +181,9 @@ class Metasearcher:
         want_shrunk = roles is None or "set:shrunk" in roles
         for algorithm in _ALGORITHMS:
             if want_plain:
-                self._batched_engine(
-                    algorithm, "plain", self.sampled_summaries
-                )
+                self._batched_engine(algorithm, "plain")
             if want_shrunk:
-                self._batched_engine(
-                    algorithm, "universal", self.shrunk_summaries
-                )
+                self._batched_engine(algorithm, "universal")
             if want_plain and want_shrunk:
                 self._adaptive_engine(algorithm)
 
@@ -208,9 +196,7 @@ class Metasearcher:
         object ids.
         """
         return {
-            f"set:{key}": matrix
-            for key, matrix in self._set_matrices.items()
-            if matrix is not None
+            f"set:{key}": matrix for key, matrix in self._set_matrices.items()
         }
 
     @property
@@ -237,8 +223,8 @@ class Metasearcher:
 
         Summaries decoded onto their own copy of the cell's word list (a
         store load, a worker process's result) are rebound onto the
-        cell's vocabulary instance, so the plain and shrunk sets stack into
-        matrices over one vocabulary and the batched engines apply.
+        cell's vocabulary instance, so the shrunk matrix stacks their id
+        arrays as they are instead of translating them word by word.
         """
         missing = set(self.sampled_summaries) - set(shrunk)
         if missing:
@@ -266,11 +252,6 @@ class Metasearcher:
             if key[1] != "universal"
         }
         self._adaptive_engines = {}
-        self._unsupported = {
-            key: reason
-            for key, reason in self._unsupported.items()
-            if key[1] == "plain"
-        }
         self._set_matrices.pop("shrunk", None)
         self._matrix_seeds.pop("shrunk", None)
         self._group_indexes.pop("shrunk", None)
@@ -327,44 +308,37 @@ class Metasearcher:
         if strategy is SelectionStrategy.HIERARCHICAL:
             selector = self._hierarchical_selector(algorithm)
             return SelectionOutcome(names=selector.select(query_terms, k))
+        if not self.sampled_summaries:
+            decisions = {} if strategy is SelectionStrategy.SHRINKAGE else None
+            return SelectionOutcome(names=[], decisions=decisions)
 
         pruned = None
-        if strategy is SelectionStrategy.PLAIN:
-            decisions = None
-            if prune:
-                pruned = self._pruned_fixed(algorithm, "plain", query_terms, k)
-            if pruned is None:
-                ranking = self._fixed_set_ranking(
-                    algorithm, "plain", self.sampled_summaries, query_terms
-                )
-        elif strategy is SelectionStrategy.UNIVERSAL:
-            decisions = None
-            if prune:
-                pruned = self._pruned_fixed(
-                    algorithm, "universal", query_terms, k
-                )
-            if pruned is None:
-                ranking = self._fixed_set_ranking(
-                    algorithm, "universal", self.shrunk_summaries, query_terms
-                )
-        else:  # SHRINKAGE: the adaptive algorithm of Figure 3
-            decision_scorer = self._prepared_scorer(
-                algorithm, "plain", self.sampled_summaries
-            )
+        if strategy is SelectionStrategy.SHRINKAGE:  # Figure 3's adaptive algorithm
+            decision_scorer = self._prepared_scorer(algorithm, "plain")
             decisions = self._adaptive_decisions(
                 decision_scorer,
                 query_terms,
                 self._batched_floors(algorithm, decision_scorer, query_terms),
                 deadline=deadline,
             )
+            engine = self._adaptive_engine(algorithm)
+            mask = np.array(
+                [decisions[name].use_shrinkage for name in engine.names],
+                dtype=bool,
+            )
             if prune:
-                pruned = self._pruned_mixed(
-                    algorithm, query_terms, decisions, k
+                pruned = self._mixed_topk_engine(algorithm).rank(
+                    query_terms, mask, k
                 )
             if pruned is None:
-                ranking = self._mixed_set_ranking(
-                    algorithm, query_terms, decisions
-                )
+                ranking = engine.rank(query_terms, mask)
+        else:
+            decisions = None
+            key = strategy.value  # "plain" or "universal"
+            if prune:
+                pruned = self._topk_engine(algorithm, key).rank(query_terms, k)
+            if pruned is None:
+                ranking = self._batched_engine(algorithm, key).rank(query_terms)
 
         candidates_scored = None
         if pruned is not None:
@@ -388,7 +362,7 @@ class Metasearcher:
     def _hierarchical_selector(self, algorithm: str) -> HierarchicalSelector:
         """One cached hierarchical selector per algorithm.
 
-        Reuse keeps the selector's per-subtree batch engines warm across
+        Reuse keeps the selector's per-node batch engines warm across
         queries instead of rebuilding them on every select call.
         """
         key = algorithm.lower()
@@ -404,300 +378,125 @@ class Metasearcher:
 
     # -- batched engines ---------------------------------------------------------
 
-    def _fixed_set_ranking(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-        query_terms: Sequence[str],
-    ):
-        """Rank a fixed summary set, batched when the set stacks."""
-        scorer = self._prepared_scorer(algorithm, key, summaries)
-        engine = self._batched_engine(algorithm, key, summaries)
-        if engine is not None:
-            return engine.rank(query_terms)
-        self._count_fallback(algorithm, key)
-        return rank_databases(scorer, query_terms, summaries, prepare=False)
+    def _summaries(self, key: str) -> Mapping[str, ContentSummary]:
+        """S(D) for the "plain" key, R(D) for "universal"/"shrunk"."""
+        return self.sampled_summaries if key == "plain" else self.shrunk_summaries
 
-    def _mixed_set_ranking(
-        self,
-        algorithm: str,
-        query_terms: Sequence[str],
-        decisions: Mapping[str, AdaptiveDecision],
-    ):
-        """Rank the per-query plain/shrunk mix chosen by ``decisions``."""
-        engine = self._adaptive_engine(algorithm)
-        if engine is not None:
-            mask = np.array(
-                [decisions[name].use_shrinkage for name in engine.names],
-                dtype=bool,
-            )
-            try:
-                return engine.rank(query_terms, mask)
-            except NotImplementedError:
-                self._adaptive_engines[algorithm.lower()] = None
-                self._unsupported[(algorithm.lower(), "adaptive")] = (
-                    "not_implemented"
-                )
-        self._count_fallback(algorithm, "adaptive")
-        summaries = {
-            name: (
-                self.shrunk_summaries[name]
-                if decisions[name].use_shrinkage
-                else sampled
-            )
-            for name, sampled in self.sampled_summaries.items()
-        }
-        # The mixed summary set changes per query, so corpus-level
-        # statistics (CORI's cf/mcw) must be recomputed here.
-        return rank_databases(
-            self.make_scorer(algorithm), query_terms, summaries
-        )
-
-    def _count_fallback(self, algorithm: str, summary_set: str) -> None:
-        """Count one request ranked serially instead of batched."""
-        from repro.evaluation.instrument import count, labeled
-
-        algorithm = algorithm.lower()
-        if not self.use_batched:
-            reason = "batching_off"
-        else:
-            reason = self._unsupported.get((algorithm, summary_set), "unknown")
-        count(
-            labeled(
-                "select.serial_fallback",
-                algorithm=algorithm,
-                summary_set=summary_set,
-                reason=reason,
-            )
-        )
-
-    def _set_matrix(self, key: str) -> SummarySetMatrix | None:
+    def _set_matrix(self, key: str) -> SummarySetMatrix:
         """The one shared score matrix for a summary set ("plain"/"shrunk"),
-        or ``None`` when the set does not stack (mixed vocabularies,
-        unknown summary types)."""
+        stacked over the cell vocabulary."""
         if key not in self._set_matrices:
             from repro.evaluation.instrument import span
 
-            summaries = (
-                self.sampled_summaries
-                if key == "plain"
-                else self.shrunk_summaries
-            )
-            try:
-                with span(
-                    "matrix.build",
-                    summary_set=key,
-                    databases=len(summaries),
-                ):
-                    matrix = SummarySetMatrix(
-                        summaries, previous=self._matrix_seeds.get(key)
-                    )
-            except UnsupportedSummarySet as exc:
-                matrix = None
-                self._unsupported[("set", key)] = exc.reason
-            self._set_matrices[key] = matrix
+            summaries = self._summaries(key)
+            with span(
+                "matrix.build", summary_set=key, databases=len(summaries)
+            ):
+                self._set_matrices[key] = SummarySetMatrix(
+                    summaries,
+                    self.builder.vocab,
+                    previous=self._matrix_seeds.get(key),
+                )
         return self._set_matrices[key]
 
-    def _batched_engine(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-    ) -> BatchSelectionEngine | None:
-        """The cached score-matrix engine for a fixed summary set, or
-        ``None`` when batching is off or the set does not stack (mixed
-        vocabularies, unknown summary types)."""
-        if not self.use_batched:
-            return None
+    def _batched_engine(self, algorithm: str, key: str) -> BatchSelectionEngine:
+        """The cached score-matrix engine for a fixed summary set
+        ("plain"/"universal")."""
         cache_key = (algorithm.lower(), key)
         if cache_key not in self._engines:
             from repro.evaluation.instrument import span
 
-            scorer = self._prepared_scorer(algorithm, key, summaries)
-            set_key = "plain" if key == "plain" else "shrunk"
-            matrix = self._set_matrix(set_key)
-            if matrix is None:
-                engine = None
-                self._unsupported[cache_key] = self._unsupported[
-                    ("set", set_key)
-                ]
-            else:
-                try:
-                    with span(
-                        "engine.build",
-                        algorithm=algorithm.lower(),
-                        summary_set=key,
-                        databases=len(summaries),
-                    ):
-                        engine = BatchSelectionEngine(
-                            scorer,
-                            summaries,
-                            prepare=False,
-                            matrix=matrix,
-                        )
-                except UnsupportedSummarySet as exc:
-                    engine = None
-                    self._unsupported[cache_key] = exc.reason
-            self._engines[cache_key] = engine
+            summaries = self._summaries(key)
+            scorer = self._prepared_scorer(algorithm, key)
+            matrix = self._set_matrix("plain" if key == "plain" else "shrunk")
+            with span(
+                "engine.build",
+                algorithm=algorithm.lower(),
+                summary_set=key,
+                databases=len(summaries),
+            ):
+                self._engines[cache_key] = BatchSelectionEngine(
+                    scorer, summaries, prepare=False, matrix=matrix
+                )
         return self._engines[cache_key]
 
-    def _adaptive_engine(self, algorithm: str) -> AdaptiveBatchEngine | None:
-        """The cached mixed-set engine (plain + shrunk matrices), or None."""
-        if not self.use_batched:
-            return None
+    def _adaptive_engine(self, algorithm: str) -> AdaptiveBatchEngine:
+        """The cached mixed-set engine (plain + shrunk matrices)."""
         key = algorithm.lower()
         if key not in self._adaptive_engines:
             from repro.evaluation.instrument import span
 
             plain_matrix = self._set_matrix("plain")
             shrunk_matrix = self._set_matrix("shrunk")
-            if plain_matrix is None or shrunk_matrix is None:
-                engine = None
-                self._unsupported[(key, "adaptive")] = self._unsupported[
-                    ("set", "plain" if plain_matrix is None else "shrunk")
-                ]
-            else:
-                try:
-                    with span(
-                        "engine.build",
-                        algorithm=key,
-                        summary_set="adaptive",
-                        databases=len(self.sampled_summaries),
-                    ):
-                        engine = AdaptiveBatchEngine(
-                            self.make_scorer(algorithm),
-                            self.sampled_summaries,
-                            self.shrunk_summaries,
-                            plain_matrix=plain_matrix,
-                            shrunk_matrix=shrunk_matrix,
-                        )
-                except UnsupportedSummarySet as exc:
-                    engine = None
-                    self._unsupported[(key, "adaptive")] = exc.reason
-            self._adaptive_engines[key] = engine
+            with span(
+                "engine.build",
+                algorithm=key,
+                summary_set="adaptive",
+                databases=len(self.sampled_summaries),
+            ):
+                self._adaptive_engines[key] = AdaptiveBatchEngine(
+                    self.make_scorer(algorithm),
+                    self.sampled_summaries,
+                    self.shrunk_summaries,
+                    plain_matrix=plain_matrix,
+                    shrunk_matrix=shrunk_matrix,
+                )
         return self._adaptive_engines[key]
 
     # -- pruned top-k ------------------------------------------------------------
 
-    def _group_index(self, key: str) -> GroupIndex | None:
+    def _group_index(self, key: str) -> GroupIndex:
         """The cached per-category-subtree bound index for a set matrix."""
         if key not in self._group_indexes:
             matrix = self._set_matrix(key)
-            if matrix is None:
-                index = None
-            else:
-                index = GroupIndex(
-                    matrix, group_labels(matrix.names, self.classifications)
-                )
-            self._group_indexes[key] = index
+            self._group_indexes[key] = GroupIndex(
+                matrix, group_labels(matrix.names, self.classifications)
+            )
         return self._group_indexes[key]
 
-    def _topk_engine(self, algorithm: str, key: str) -> TopKEngine | None:
+    def _topk_engine(self, algorithm: str, key: str) -> TopKEngine:
         """The cached pruned top-k engine for a fixed summary set."""
         cache_key = (algorithm.lower(), key)
         if cache_key not in self._topk:
-            summaries = (
-                self.sampled_summaries
-                if key == "plain"
-                else self.shrunk_summaries
+            engine = self._batched_engine(algorithm, key)
+            groups = self._group_index("plain" if key == "plain" else "shrunk")
+            self._topk[cache_key] = TopKEngine(
+                engine.scorer, engine.matrix, groups
             )
-            engine = self._batched_engine(algorithm, key, summaries)
-            set_key = "plain" if key == "plain" else "shrunk"
-            groups = self._group_index(set_key)
-            if (
-                engine is None
-                or groups is None
-                or engine.scorer.topk_regime is None
-            ):
-                topk = None
-            else:
-                topk = TopKEngine(engine.scorer, engine.matrix, groups)
-            self._topk[cache_key] = topk
         return self._topk[cache_key]
 
-    def _mixed_topk_engine(self, algorithm: str) -> MixedTopKEngine | None:
+    def _mixed_topk_engine(self, algorithm: str) -> MixedTopKEngine:
         """The cached pruned top-k engine over per-query plain/shrunk mixes."""
         key = algorithm.lower()
         if key not in self._mixed_topk:
             engine = self._adaptive_engine(algorithm)
-            plain_groups = self._group_index("plain")
-            shrunk_groups = self._group_index("shrunk")
-            if (
-                engine is None
-                or plain_groups is None
-                or shrunk_groups is None
-                or engine.scorer.topk_regime is None
-            ):
-                topk = None
-            else:
-                topk = MixedTopKEngine(
-                    engine.scorer, engine, plain_groups, shrunk_groups
-                )
-            self._mixed_topk[key] = topk
+            self._mixed_topk[key] = MixedTopKEngine(
+                engine.scorer,
+                engine,
+                self._group_index("plain"),
+                self._group_index("shrunk"),
+            )
         return self._mixed_topk[key]
-
-    def _pruned_fixed(
-        self,
-        algorithm: str,
-        key: str,
-        query_terms: Sequence[str],
-        k: int,
-    ):
-        """Pruned exact top-k over a fixed set, or None (full scan)."""
-        if not self.use_batched:
-            return None
-        topk = self._topk_engine(algorithm, key)
-        if topk is None:
-            return None
-        return topk.rank(query_terms, k)
-
-    def _pruned_mixed(
-        self,
-        algorithm: str,
-        query_terms: Sequence[str],
-        decisions: Mapping[str, AdaptiveDecision],
-        k: int,
-    ):
-        """Pruned exact top-k over the adaptive mix, or None (full scan)."""
-        if not self.use_batched:
-            return None
-        topk = self._mixed_topk_engine(algorithm)
-        if topk is None:
-            return None
-        mask = np.array(
-            [decisions[name].use_shrinkage for name in topk.engine.names],
-            dtype=bool,
-        )
-        return topk.rank(query_terms, mask, k)
 
     def _batched_floors(
         self,
         algorithm: str,
         scorer: DatabaseScorer,
         query_terms: Sequence[str],
-    ) -> dict[str, float] | None:
-        """Per-database floor scores in one batched pass (or None)."""
-        engine = self._batched_engine(
-            algorithm, "plain", self.sampled_summaries
-        )
-        if engine is None:
-            return None
+    ) -> dict[str, float]:
+        """Per-database floor scores in one batched pass."""
+        engine = self._batched_engine(algorithm, "plain")
         floors = scorer.batch_floor_scores(query_terms, engine.matrix)
         return dict(zip(engine.names, floors.tolist()))
 
-    def _prepared_scorer(
-        self,
-        algorithm: str,
-        key: str,
-        summaries: Mapping[str, ContentSummary],
-    ) -> DatabaseScorer:
+    def _prepared_scorer(self, algorithm: str, key: str) -> DatabaseScorer:
         """A scorer prepared once per fixed summary set, then reused."""
         cache_key = (algorithm.lower(), key)
         scorer = self._prepared_scorers.get(cache_key)
         if scorer is None:
             from repro.evaluation.instrument import span
 
+            summaries = self._summaries(key)
             scorer = self.make_scorer(algorithm)
             with span(
                 "scorer.prepare",
@@ -730,16 +529,16 @@ class Metasearcher:
         self,
         scorer: DatabaseScorer,
         query_terms: Sequence[str],
-        floors: Mapping[str, float] | None = None,
+        floors: Mapping[str, float],
         deadline: float | None = None,
     ) -> dict[str, AdaptiveDecision]:
         """Content-summary-selection step of Figure 3 for every database.
 
         ``scorer`` must already be prepared on the unshrunk summaries: the
         uncertainty model scores hypothetical frequencies with the corpus
-        statistics of the summaries actually observed. ``floors`` carries
-        batched-computed floor scores when available (bit-identical to the
-        per-database computation, see base.batch_floor_scores).
+        statistics of the summaries actually observed. ``floors`` are the
+        batched floor scores (bit-identical to the per-database
+        computation, see base.batch_floor_scores).
         """
         from repro.evaluation.instrument import count
 
@@ -751,9 +550,7 @@ class Metasearcher:
                     f"databases exceeded the deadline after {len(decisions)}"
                 )
             decisions[name] = self._decision_model(name, sampled).decide(
-                scorer,
-                query_terms,
-                None if floors is None else floors[name],
+                scorer, query_terms, floors[name]
             )
         count("adaptive.decisions", len(decisions))
         count(

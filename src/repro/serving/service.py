@@ -525,12 +525,18 @@ class SelectionService:
             return response
         telemetry.tag_outcome(cache_hit=False)
         with telemetry.phase("select"):
-            outcome, degraded = self._score(
+            outcome, degrade_reason = self._score(
                 snapshot, terms, algorithm, strategy, k, timeout_seconds, arrival
             )
         with telemetry.phase("serialize"):
             response = self._serialize(
-                snapshot, terms, algorithm, strategy, k, outcome, degraded
+                snapshot,
+                terms,
+                algorithm,
+                strategy,
+                k,
+                outcome,
+                degrade_reason is not None,
             )
         # The entry records the journal revision of every database it
         # names; the hot swap uses those to carry still-valid entries
@@ -552,15 +558,14 @@ class SelectionService:
         )
         elapsed = time.perf_counter() - start
         telemetry.tag_outcome(
-            degraded=degraded,
+            degraded=degrade_reason is not None,
+            degrade_reason=degrade_reason,
             pruned=bool(self.config.prune),
             candidates_scored=outcome.candidates_scored,
         )
         instrumentation = get_instrumentation()
         instrumentation.count("serve.requests")
         instrumentation.observe("serve.request_seconds", elapsed)
-        if degraded:
-            instrumentation.count("serve.degraded")
         # Full copy, not dict(): the miss response must not share its
         # nested lists with the entry just cached either.
         response = _copy_response(response)
@@ -578,8 +583,15 @@ class SelectionService:
         timeout_seconds: float | None,
         arrival: float,
     ):
-        """Score one query against a snapshot; returns (outcome, degraded)."""
-        degraded = False
+        """Score one query against a snapshot.
+
+        Returns ``(outcome, reason)``: ``reason`` is ``None`` when the
+        requested strategy served the query, else why it was served
+        ``plain`` instead — ``"budget"`` (the strategy's live p99 exceeds
+        the remaining budget) or ``"deadline"`` (the deadline fired
+        mid-selection).
+        """
+        reason = None
         deadline = (
             arrival + timeout_seconds if timeout_seconds is not None else None
         )
@@ -595,38 +607,31 @@ class SelectionService:
                 # The strategy's live p99 already exceeds this request's
                 # remaining budget: degrade up front instead of burning
                 # the budget discovering the same thing mid-loop.
-                from repro.evaluation.instrument import count
-
-                count("serve.latency_budget_preempted")
-                self.stats.record_degraded()
-                outcome = snapshot.metasearcher.select(
-                    list(terms),
-                    algorithm=algorithm,
-                    strategy=SelectionStrategy.PLAIN,
-                    k=k,
-                    prune=prune,
+                reason = "budget"
+        if reason is None:
+            try:
+                return (
+                    snapshot.metasearcher.select(
+                        list(terms),
+                        algorithm=algorithm,
+                        strategy=strategy,
+                        k=k,
+                        deadline=deadline,
+                        prune=prune,
+                    ),
+                    None,
                 )
-                return outcome, True
-        try:
-            outcome = snapshot.metasearcher.select(
-                list(terms),
-                algorithm=algorithm,
-                strategy=strategy,
-                k=k,
-                deadline=deadline,
-                prune=prune,
-            )
-        except SelectionDeadlineExceeded:
-            self.stats.record_degraded()
-            degraded = True
-            outcome = snapshot.metasearcher.select(
-                list(terms),
-                algorithm=algorithm,
-                strategy=SelectionStrategy.PLAIN,
-                k=k,
-                prune=prune,
-            )
-        return outcome, degraded
+            except SelectionDeadlineExceeded:
+                reason = "deadline"
+        self.stats.record_degraded()
+        outcome = snapshot.metasearcher.select(
+            list(terms),
+            algorithm=algorithm,
+            strategy=SelectionStrategy.PLAIN,
+            k=k,
+            prune=prune,
+        )
+        return outcome, reason
 
     def _serialize(
         self,

@@ -2,8 +2,8 @@
 
 The serving stack (service/server/workers) measures every request in
 phases — parse, cache lookup, select, serialize — and tags the outcome
-(strategy, snapshot epoch, pruned vs. full scan, cache hit, degraded,
-error class). This module is the vocabulary those layers share:
+(strategy, snapshot epoch, pruned vs. full scan, cache hit, degraded and
+why, error class). This module is the vocabulary those layers share:
 
 * :class:`RequestTelemetry` — one per-request accumulator carried from
   the HTTP handler through :meth:`SelectionService.select`, published
@@ -15,7 +15,8 @@ error class). This module is the vocabulary those layers share:
   :func:`split_labeled`), so one registry holds
   ``serve.http.requests{endpoint=select,status=ok}`` per endpoint
   without new metric types. Label sets stay low-cardinality by
-  construction: endpoint, phase, strategy, status, scan mode, epoch.
+  construction: endpoint, phase, algorithm, strategy, status, scan mode,
+  epoch, degrade reason.
 * :func:`render_prometheus` — text exposition of a registry (counters,
   gauges, timers, histograms with exact-percentile quantiles) in the
   Prometheus format, deterministic ordering, no locks held beyond the
@@ -144,7 +145,17 @@ def record_request(
     if tags.get("cache_hit"):
         inst.count(labeled("serve.cache_hits", endpoint=endpoint))
     if tags.get("degraded"):
-        inst.count(labeled("serve.degraded_requests", endpoint=endpoint))
+        # The only way a request is not served by its own strategy:
+        # deadline or latency-budget degradation to plain.
+        inst.count(
+            labeled(
+                "serve.degraded_requests",
+                endpoint=endpoint,
+                algorithm=tags.get("algorithm", ""),
+                strategy=tags.get("strategy", ""),
+                reason=tags.get("degrade_reason", ""),
+            )
+        )
     if tags.get("shed"):
         inst.count(labeled("serve.shed_requests", endpoint=endpoint))
     if "pruned" in tags:

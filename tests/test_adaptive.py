@@ -1,18 +1,75 @@
 """Tests for repro.core.adaptive (Section 4 / Appendix B)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.adaptive import (
     AdaptiveConfig,
     ScoreDistributionModel,
-    choose_summaries,
     decide_summary,
 )
+from repro.selection.base import DatabaseScorer
 from repro.selection.bgloss import BGlossScorer
 from repro.selection.cori import CoriScorer
 from repro.selection.lm import LanguageModelScorer
+from repro.selection.metasearcher import Metasearcher
 from repro.summaries.summary import SampledSummary
+from tests.conftest import make_tiny_hierarchy
+
+
+def monte_carlo_moments(
+    model,
+    scorer,
+    query_terms,
+    rng=None,
+    batch=100,
+    max_combinations=600,
+    tolerance=0.02,
+):
+    """The oracle for the analytic moments: draw d_1..d_n combinations
+    from the per-word posteriors until the sample mean and standard
+    deviation stabilize (Section 4's "a few hundred" combinations).
+
+    ``batch`` combinations are drawn between convergence checks, up to
+    ``max_combinations``; two checks agreeing within ``tolerance``
+    (relative) stop the loop. Draws are batched per word — one
+    ``rng.choice`` and one ``word_score_vector`` call per word per round.
+    """
+    rng = rng or np.random.default_rng(0)
+    summary = model.summary
+    database_size = max(summary.size, 1.0)
+    scale = scorer.hypothetical_probability_scale(summary)
+    posteriors = [model.word_posterior(word) for word in query_terms]
+
+    samples: list[float] = []
+    previous = None
+    while len(samples) < max_combinations:
+        columns = [
+            scorer.word_score_vector(
+                support[rng.choice(support.size, size=batch, p=probabilities)]
+                * scale
+                / database_size,
+                summary,
+                word,
+            )
+            for word, (support, probabilities) in zip(query_terms, posteriors)
+        ]
+        if columns:
+            rows = np.stack(columns, axis=1).tolist()
+        else:
+            rows = [[] for _ in range(batch)]
+        samples.extend(scorer.combine(word_scores, summary) for word_scores in rows)
+        mean = float(np.mean(samples))
+        std = float(np.std(samples))
+        if previous is not None and all(
+            math.isclose(now, before, rel_tol=tolerance, abs_tol=1e-12)
+            for now, before in zip((mean, std), previous)
+        ):
+            break
+        previous = (mean, std)
+    return float(np.mean(samples)), float(np.std(samples))
 
 
 def make_summary(size=1000, sample_size=100, sample_df=None, alpha=-1.0):
@@ -108,12 +165,16 @@ class TestScoreMoments:
 
     def test_analytic_matches_monte_carlo(self):
         summary = make_summary()
-        config = AdaptiveConfig(mc_max_combinations=4000, mc_batch=1000)
-        model = ScoreDistributionModel(summary, config)
+        model = ScoreDistributionModel(summary)
         scorer = BGlossScorer()
-        a_mean, a_std = model._analytic_moments(scorer, ["mid", "rare"])
-        m_mean, m_std = model._monte_carlo_moments(
-            scorer, ["mid", "rare"], rng=np.random.default_rng(0)
+        a_mean, a_std = model.score_moments(scorer, ["mid", "rare"])
+        m_mean, m_std = monte_carlo_moments(
+            model,
+            scorer,
+            ["mid", "rare"],
+            rng=np.random.default_rng(0),
+            batch=1000,
+            max_combinations=4000,
         )
         assert m_mean == pytest.approx(a_mean, rel=0.25)
         assert m_std == pytest.approx(a_std, rel=0.35)
@@ -155,6 +216,24 @@ class TestScoreMoments:
         mean, std = model.score_moments(scorer, [])
         assert (mean, std) == (0.0, 0.0)
 
+    def test_scorer_without_word_decomposition_rejected(self):
+        class Opaque(DatabaseScorer):
+            def score(self, query_terms, summary):
+                return 1.0
+
+            def word_score(self, probability, summary, word):
+                return probability
+
+        model = ScoreDistributionModel(make_summary())
+        with pytest.raises(TypeError):
+            model.score_moments(Opaque(), ["mid"])
+
+    def test_config_has_no_monte_carlo_knobs(self):
+        assert sorted(AdaptiveConfig.__dataclass_fields__) == [
+            "default_gamma",
+            "max_support",
+        ]
+
 
 class TestDecision:
     def test_missing_words_trigger_shrinkage_for_bgloss(self):
@@ -177,22 +256,33 @@ class TestDecision:
         certain = make_summary(
             size=120, sample_size=100, sample_df={"common": 90}
         )
-        uncertain = make_summary(size=50_000, sample_size=100, sample_df={})
-        shrunk_marker = make_summary()
-        chosen, decisions = choose_summaries(
-            BGlossScorer(),
-            ["common"],
-            {"certain": certain, "uncertain": uncertain},
-            {"certain": shrunk_marker, "uncertain": shrunk_marker},
+        uncertain = make_summary(
+            size=50_000, sample_size=100, sample_df={"other": 3}
         )
-        assert chosen["certain"] is certain
-        assert chosen["uncertain"] is shrunk_marker
-        assert not decisions["certain"].use_shrinkage
-        assert decisions["uncertain"].use_shrinkage
+        hierarchy = make_tiny_hierarchy()
+        leaf = hierarchy.leaves()[0].path
+        metasearcher = Metasearcher(
+            hierarchy,
+            {"certain": certain, "uncertain": uncertain},
+            {"certain": leaf, "uncertain": leaf},
+        )
+        outcome = metasearcher.select(
+            ["common"], algorithm="bgloss", strategy="shrinkage", k=2
+        )
+        assert not outcome.decisions["certain"].use_shrinkage
+        assert outcome.decisions["uncertain"].use_shrinkage
+        # Each database was scored with the summary its decision chose.
+        scorer = BGlossScorer()
+        shrunk = metasearcher.shrunk_summaries["uncertain"]
+        assert outcome.scores == {
+            "certain": scorer.score(["common"], certain),
+            "uncertain": scorer.score(["common"], shrunk),
+        }
+        assert outcome.scores["uncertain"] != scorer.score(["common"], uncertain)
 
 
 class TestMonteCarloVectorized:
-    """The batched Monte-Carlo fallback (one rng.choice per word per round).
+    """The batched Monte-Carlo oracle (one rng.choice per word per round).
 
     Vectorization changes the rng consumption order (word-blocked instead
     of sample-interleaved), so these tests pin the *distributional*
@@ -241,13 +331,17 @@ class TestMonteCarloVectorized:
         ids=["bgloss", "cori", "lm"],
     )
     def test_matches_scalar_reference(self, make_scorer):
-        config = AdaptiveConfig(mc_max_combinations=6000, mc_batch=2000)
-        model = ScoreDistributionModel(make_summary(), config)
+        model = ScoreDistributionModel(make_summary())
         scorer = make_scorer()
         scorer.prepare({"d": model.summary})
         query = ["mid", "rare"]
-        v_mean, v_std = model._monte_carlo_moments(
-            scorer, query, rng=np.random.default_rng(42)
+        v_mean, v_std = monte_carlo_moments(
+            model,
+            scorer,
+            query,
+            rng=np.random.default_rng(42),
+            batch=2000,
+            max_combinations=6000,
         )
         r_mean, r_std = self._scalar_reference(
             model, scorer, query, np.random.default_rng(43), samples=6000
@@ -256,24 +350,32 @@ class TestMonteCarloVectorized:
         assert v_std == pytest.approx(r_std, rel=0.35)
 
     def test_deterministic_for_fixed_seed(self):
-        model = ScoreDistributionModel(
-            make_summary(), AdaptiveConfig(mc_max_combinations=2000)
-        )
+        model = ScoreDistributionModel(make_summary())
         scorer = BGlossScorer()
-        first = model._monte_carlo_moments(
-            scorer, ["mid", "rare"], rng=np.random.default_rng(9)
+        first = monte_carlo_moments(
+            model,
+            scorer,
+            ["mid", "rare"],
+            rng=np.random.default_rng(9),
+            max_combinations=2000,
         )
-        second = model._monte_carlo_moments(
-            scorer, ["mid", "rare"], rng=np.random.default_rng(9)
+        second = monte_carlo_moments(
+            model,
+            scorer,
+            ["mid", "rare"],
+            rng=np.random.default_rng(9),
+            max_combinations=2000,
         )
         assert first == second
 
     def test_empty_query(self):
-        model = ScoreDistributionModel(
-            make_summary(), AdaptiveConfig(mc_max_combinations=2000)
-        )
-        mean, std = model._monte_carlo_moments(
-            BGlossScorer(), [], rng=np.random.default_rng(0)
+        model = ScoreDistributionModel(make_summary())
+        mean, std = monte_carlo_moments(
+            model,
+            BGlossScorer(),
+            [],
+            rng=np.random.default_rng(0),
+            max_combinations=2000,
         )
         assert std == 0.0
         assert np.isfinite(mean)

@@ -2,8 +2,10 @@
 
 * One vocabulary per cell: shrunk summaries loaded from a store or
   computed in worker processes are rebound onto the cell's vocabulary,
-  so the batched engines build and no request falls back to serial
-  ranking (``select.serial_fallback`` stays 0).
+  so the matrices stack them as they are, without translating a word.
+  Summaries on private vocabularies stack too, by translation. The one
+  remaining way a request leaves its strategy — degradation to plain —
+  is counted by algorithm, strategy and reason.
 * Decision state kept across queries: per-database models with bounded
   posterior and moment caches give decisions equal (``==``) to a fresh
   cache-free :func:`decide_summary`, and the caches stay within bounds.
@@ -33,15 +35,6 @@ from repro.summaries.summary import SampledSummary
 from tests.conftest import make_tiny_hierarchy
 
 ALGORITHMS = ("bgloss", "cori", "lm")
-
-
-def fallback_count() -> int:
-    counters = get_instrumentation().snapshot()["counters"]
-    return sum(
-        value
-        for name, value in counters.items()
-        if name.startswith("select.serial_fallback")
-    )
 
 
 # -- posterior at d = |D| ----------------------------------------------------------
@@ -221,22 +214,29 @@ class TestDecisionCacheBounds:
             )
 
 
-# -- one vocabulary per cell: no serial fallback -----------------------------------
+# -- one vocabulary per cell: the rebind alias, not translation --------------------
 
 
 def assert_batched_adaptive(cell, queries) -> None:
+    """Both summary sets already live on the cell vocabulary, so stacking
+    them interns no word: the matrices alias the summaries' id space."""
     metasearcher = cell.metasearcher
     vocab = metasearcher.builder.vocab
-    for shrunk in metasearcher.shrunk_summaries.values():
-        assert shrunk.vocab is vocab
+    width = len(vocab)
+    for summaries in (
+        metasearcher.sampled_summaries,
+        metasearcher.shrunk_summaries,
+    ):
+        for summary in summaries.values():
+            assert summary.vocab is vocab
     for algorithm in ALGORITHMS:
-        assert metasearcher._adaptive_engine(algorithm) is not None
-    before = fallback_count()
+        engine = metasearcher._adaptive_engine(algorithm)
+        assert engine.plain.vocab is engine.shrunk.vocab is vocab
     for index, terms in enumerate(queries):
         metasearcher.select(
             terms, algorithm=ALGORITHMS[index % 3], strategy="shrinkage"
         )
-    assert fallback_count() == before == 0
+    assert len(vocab) == width
 
 
 class TestNoSerialFallback:
@@ -278,39 +278,40 @@ class TestNoSerialFallback:
         assert_batched_adaptive(cell, self.queries(cell))
 
     def test_fallback_is_counted_and_exported(self, isolated_harness):
+        """Degradation to plain is the only fallback left; it is counted
+        by algorithm, strategy and reason and shows in /metrics."""
         harness.clear_caches()
-        metasearcher = synthetic_cell()
-        metasearcher.use_batched = False
-        metasearcher.select(["w001"], algorithm="cori", strategy="shrinkage")
-        metasearcher.select(["w001"], algorithm="lm", strategy="plain")
+        service = SelectionService(
+            synthetic_cell(),
+            ServiceConfig(scale="synthetic", request_timeout_seconds=0.0),
+        )
+        response = service.select(["w001"], algorithm="cori", strategy="shrinkage")
+        assert response["degraded"]
+        service.select(["w001"], algorithm="lm", strategy="plain")
         counters = get_instrumentation().snapshot()["counters"]
-        assert counters[
+        degraded = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("serve.degraded_requests")
+        }
+        assert degraded == {
             labeled(
-                "select.serial_fallback",
+                "serve.degraded_requests",
                 algorithm="cori",
-                reason="batching_off",
-                summary_set="adaptive",
-            )
-        ] == 1
-        assert counters[
-            labeled(
-                "select.serial_fallback",
-                algorithm="lm",
-                reason="batching_off",
-                summary_set="plain",
-            )
-        ] == 1
-        exposition = render_prometheus()
+                endpoint="select",
+                reason="deadline",
+                strategy="shrinkage",
+            ): 1
+        }
         assert (
-            'repro_select_serial_fallback_total{algorithm="cori",'
-            'reason="batching_off",summary_set="adaptive"} 1'
-        ) in exposition
+            'repro_serve_degraded_requests_total{algorithm="cori",'
+            'endpoint="select",reason="deadline",strategy="shrinkage"} 1'
+        ) in render_prometheus()
 
-    def test_unstackable_set_names_its_reason(self, isolated_harness):
-        harness.clear_caches()
+    def test_per_summary_vocab_set_stacks(self, isolated_harness):
         metasearcher = synthetic_cell()
         summaries = dict(metasearcher.sampled_summaries)
-        # A summary on a private vocabulary breaks stacking.
+        # A summary on a private vocabulary is translated into the cell's.
         loner = summaries["db0"]
         summaries["db0"] = SampledSummary(
             size=loner.size,
@@ -323,16 +324,17 @@ class TestNoSerialFallback:
         mixed = Metasearcher(
             metasearcher.hierarchy, summaries, metasearcher.classifications
         )
-        mixed.select(["w001"], algorithm="bgloss", strategy="plain")
-        counters = get_instrumentation().snapshot()["counters"]
-        assert counters[
-            labeled(
-                "select.serial_fallback",
-                algorithm="bgloss",
-                reason="mixed_vocabulary",
-                summary_set="plain",
-            )
-        ] == 1
+        for algorithm in ALGORITHMS:
+            for strategy in ("plain", "shrinkage"):
+                ours = mixed.select(
+                    ["w001", "w002"], algorithm=algorithm, strategy=strategy
+                )
+                theirs = metasearcher.select(
+                    ["w001", "w002"], algorithm=algorithm, strategy=strategy
+                )
+                assert ours.names == theirs.names
+                assert ours.scores == theirs.scores
+        assert mixed._set_matrix("plain").vocab is mixed.builder.vocab
 
 
 # -- no testbed on the serving path --------------------------------------------------
@@ -352,7 +354,9 @@ class TestLazyTestbed:
         assert counters.get("cache.hit.testbed", 0) == 0
         assert harness._TESTBEDS == {}
         assert harness._EXACT == {}
-        assert fallback_count() == 0
+        vocab = service.metasearcher.builder.vocab
+        for shrunk in service.metasearcher.shrunk_summaries.values():
+            assert shrunk.vocab is vocab
 
         name = sorted(service.metasearcher.sampled_summaries)[0]
         result = service.apply_update(

@@ -215,6 +215,22 @@ class TestBitIdentity:
         assert reused and max(reused) > 0
         _assert_verified(metasearcher)
 
+    def test_removing_every_database_verifies(self):
+        previous = _metasearcher()
+        metasearcher, _ = CellUpdater(previous).apply(
+            [
+                {"op": "remove", "name": name}
+                for name in previous.sampled_summaries
+            ],
+            previous=previous,
+        )
+        for strategy in ("plain", "universal", "shrinkage", "hierarchical"):
+            outcome = metasearcher.select(
+                ["gen000"], algorithm="cori", strategy=strategy, prune=True
+            )
+            assert outcome.names == []
+        _assert_verified(metasearcher)
+
     def test_failed_op_leaves_updater_untouched(self):
         updater = CellUpdater(_metasearcher())
         with pytest.raises(ValueError):

@@ -40,15 +40,19 @@ class TestRecordRequest:
         telemetry.add_phase("parse", 0.001)
         telemetry.add_phase("select", 0.010)
         telemetry.tag_outcome(
-            strategy="shrinkage", epoch=3, cache_hit=False,
-            degraded=True, pruned=True, candidates_scored=42,
+            algorithm="cori", strategy="shrinkage", epoch=3, cache_hit=False,
+            degraded=True, degrade_reason="deadline", pruned=True,
+            candidates_scored=42,
         )
         elapsed = record_request(telemetry, inst)
         assert elapsed > 0.0
         assert inst.counters[
             "serve.http.requests{endpoint=select,status=ok}"
         ] == 1
-        assert inst.counters["serve.degraded_requests{endpoint=select}"] == 1
+        assert inst.counters[
+            "serve.degraded_requests{algorithm=cori,endpoint=select,"
+            "reason=deadline,strategy=shrinkage}"
+        ] == 1
         assert inst.counters["serve.scans{endpoint=select,mode=pruned}"] == 1
         assert "serve.cache_hits{endpoint=select}" not in inst.counters
         assert (

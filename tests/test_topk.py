@@ -11,7 +11,8 @@ selected flags. No tolerance anywhere in this file.
 
 Covered: all three scorers across plain, universal, and adaptive mixed
 summary choices; OOV and empty queries; the ``ranked_from_arrays`` k-cut
-tie-break; batched hierarchical subtree rankings vs forced-serial; the
+tie-break; batched hierarchical rankings vs their ``rank_databases`` twin
+on shared- and per-summary-vocabulary cells; the
 closed-form summary-universe builder; and a hypothesis property over
 random queries, algorithms, strategies, and k.
 """
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.corpus.testbeds import build_summary_universe
 from repro.evaluation import harness
+from repro.selection.base import rank_databases
 from repro.selection.batch import ranked_from_arrays
 from repro.selection.metasearcher import Metasearcher
 from repro.selection.topk import GroupIndex, group_labels
@@ -159,6 +161,15 @@ class TestGroupIndex:
             GroupIndex(matrix, [("Root",)])
 
 
+def reference_twin(selector):
+    """Make ``selector`` rank every node with ``rank_databases`` instead of
+    its cached batch engines: the oracle its batched rankings must equal."""
+    selector._rank = lambda key, summaries, query_terms: rank_databases(
+        selector.scorer, query_terms, summaries
+    )
+    return selector
+
+
 class TestHierarchicalBatched:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_subtree_engines_bit_identical_to_serial(self, cell, algorithm):
@@ -166,34 +177,38 @@ class TestHierarchicalBatched:
         batched = Metasearcher(hierarchy, summaries, classifications)
         serial = Metasearcher(hierarchy, summaries, classifications)
         batched_selector = batched._hierarchical_selector(algorithm)
-        serial_selector = serial._hierarchical_selector(algorithm)
-        serial_selector._subtree_engine = lambda path, summaries: None
+        serial_selector = reference_twin(serial._hierarchical_selector(algorithm))
         for query in QUERIES:
             for k in (1, 3, 8):
                 assert batched_selector.select(query, k) == (
                     serial_selector.select(query, k)
                 ), f"{algorithm} {query} k={k}"
-        # The batched side must actually have engaged its engines.
-        assert any(
-            engine is not None
-            for engine in batched_selector._engines.values()
-        )
+        # The batched side must actually have engaged its engines, for
+        # child categories as well as databases.
+        roles = {role for _, role in batched_selector._engines}
+        assert {"children", "databases"} <= roles
 
-    def test_dict_vocab_subtrees_fall_back_to_serial(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_dict_vocab_subtrees_stack(self, algorithm):
         hierarchy, summaries, classifications = _synthetic_cell(
             shared_vocab=False
         )
         own_vocab = Metasearcher(hierarchy, summaries, classifications)
-        forced = Metasearcher(hierarchy, summaries, classifications)
-        selector = own_vocab._hierarchical_selector("cori")
-        forced_selector = forced._hierarchical_selector("cori")
-        forced_selector._subtree_engine = lambda path, summaries: None
-        query = ["gen000", "gen004"]
-        assert selector.select(query, 4) == forced_selector.select(query, 4)
-        assert selector._engines  # visited subtrees were cached ...
-        assert all(
-            engine is None for engine in selector._engines.values()
-        )  # ... as serial fallbacks
+        reference = Metasearcher(hierarchy, summaries, classifications)
+        selector = own_vocab._hierarchical_selector(algorithm)
+        reference_selector = reference_twin(
+            reference._hierarchical_selector(algorithm)
+        )
+        for query in QUERIES:
+            for k in (1, 4, 8):
+                assert selector.select(query, k) == (
+                    reference_selector.select(query, k)
+                ), f"{algorithm} {query} k={k}"
+        # Every visited node stacked over the cell vocabulary, though each
+        # database summary carries a private one.
+        assert selector._engines
+        for engine in selector._engines.values():
+            assert engine.matrix.vocab is own_vocab.builder.vocab
 
 
 class TestSummaryUniverse:

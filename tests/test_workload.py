@@ -856,7 +856,8 @@ class TestLatencyBudgetPolicy:
         assert response["degraded"] is True
         assert response["shrinkage_applications"] == 0
         assert clean_registry.snapshot()["counters"].get(
-            "serve.latency_budget_preempted"
+            "serve.degraded_requests{algorithm=cori,endpoint=select,"
+            "reason=budget,strategy=shrinkage}"
         ) == 1
 
 
