@@ -54,9 +54,9 @@ class DatabaseScorer(ABC):
     #: score variance analytically, word by word.
     word_decomposition: str | None = None
 
-    #: Probability regime the pruned top-k engine bounds this scorer in
-    #: ("df" or "tf"). ``None`` marks the scorer unsupported: the top-k
-    #: engine refuses it and callers take the full-scan path.
+    #: Probability regime ("df" or "tf") the engines gather this scorer's
+    #: rows in, for its exact kernel and its top-k bounds alike. ``None``
+    #: marks a scorer the engines cannot serve.
     topk_regime: str | None = None
 
     def prepare(self, summaries: Mapping[str, ContentSummary]) -> None:
@@ -185,57 +185,59 @@ class DatabaseScorer(ABC):
             "scorers without word decomposition must override floor_score"
         )
 
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) for one query against every database at once.
+    # -- engine hooks: one exact kernel, floors, top-k bounds -----------------
 
-        Arrays align with ``matrix.names``. The default delegates to the
-        scalar :meth:`score`/:meth:`floor_score` per row — trivially
-        bit-identical, no speedup; the production scorers override it with
-        vectorized arithmetic that keeps the word-sequential fold order
-        (see :mod:`repro.selection.batch` for the bit-identity contract).
+    def score_rows(
+        self,
+        query_terms: Sequence[str],
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray,
+        i_values: np.ndarray | None = None,
+        mean_cw: float | None = None,
+    ) -> np.ndarray:
+        """Exact scores of a gathered (rows, words) probability block.
+
+        The scorer's one exact kernel. ``probabilities`` holds, per row,
+        the ``scored_lookup`` of the query's words in :attr:`topk_regime`;
+        ``sizes`` and ``cw`` are the rows' |D| and cw(D) proxy. The
+        engines gather the block — every row of a fixed or mixed set for
+        a full scan, the surviving rows for a pruned scan — and the
+        kernel folds it word by word in the scalar :meth:`score` order,
+        so each row's score is bit-for-bit the serial one whatever rows
+        share the block (elementwise IEEE-754 arithmetic does not depend
+        on the array's shape). ``i_values``/``mean_cw`` carry a mixed
+        set's corpus statistics (see :meth:`mixed_context`); without
+        them a scorer that needs them uses its prepared ones.
         """
-        scores = np.array(
-            [self.score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
+        raise NotImplementedError(
+            f"{type(self).__name__} has no batched scoring kernel"
         )
-        floors = np.array(
-            [self.floor_score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-        return scores, floors
 
     def batch_floor_scores(
         self, query_terms: Sequence[str], matrix: SummarySetMatrix
     ) -> np.ndarray:
         """Floor scores for every database at once (aligned with
-        ``matrix.names``); same bit-identity contract as
-        :meth:`batch_scores`."""
-        return np.array(
-            [self.floor_score(query_terms, s) for s in matrix.summaries],
-            dtype=np.float64,
+        ``matrix.names``), bit-for-bit the scalar :meth:`floor_score`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no batched floor scores"
         )
 
-    def batch_scores_mixed(
+    def mixed_context(
         self,
         query_terms: Sequence[str],
         engine: AdaptiveBatchEngine,
         mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) against a per-query plain/shrunk row mix.
+    ) -> dict:
+        """Corpus statistics of the per-query plain/shrunk mix, as keyword
+        arguments for :meth:`score_rows` and :meth:`topk_group_bounds`.
 
-        ``mask`` selects the shrunk row per database. Corpus statistics
-        must reflect the *mixed* set (as a fresh ``prepare`` on the
-        materialized mixed dict would), and only the scorer knows which
-        of its statistics depend on the set, so there is no generic
-        version: every scorer the adaptive strategy serves implements it.
+        ``mask`` selects the shrunk row per database. Statistics must be
+        what a fresh ``prepare`` on the materialized mixed dict computes
+        (CORI's I factors and mcw); scorers whose statistics do not depend
+        on the set need none.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support mixed batch scoring"
-        )
-
-    # -- pruned top-k hooks ----------------------------------------------------
+        return {}
 
     def topk_group_bounds(
         self,
@@ -260,45 +262,6 @@ class DatabaseScorer(ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support top-k bounds"
         )
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        """Exact scores for a row subset: ``batch_scores(...)[0][rows]``
-        bit-for-bit, computed without touching the other rows."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support row-subset scoring"
-        )
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        """Exact mixed-set scores for a row subset (see
-        :meth:`batch_scores_mixed`); corpus statistics of the mixed set
-        arrive precomputed via ``i_values``/``mean_cw`` when the scorer
-        needs them."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support row-subset scoring"
-        )
-
-    def topk_mixed_context(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> dict:
-        """Per-query corpus statistics of the mixed set, computed once and
-        passed to every bound/row-scoring call (CORI's cf/mcw)."""
-        return {}
 
 
 def rank_databases(

@@ -328,33 +328,31 @@ class SummarySetMatrix:
             self._ids_cache.put(key, ids)
         return ids
 
-    def gather(self, ids: np.ndarray, regime: str = "df") -> np.ndarray:
-        """Per-word probabilities for all databases: a (databases, words)
-        matrix whose row ``i`` equals ``summaries[i].scored_lookup(ids)``."""
-        dense = self.dense(regime)
-        ids = np.asarray(ids, dtype=np.int64)
-        valid = (ids >= 0) & (ids < self._width)
-        if valid.all():
-            return dense[:, ids]
-        safe = np.where(valid, ids, 0)
-        out = dense[:, safe]
-        out[:, ~valid] = self._defaults[regime][:, None]
-        return out
-
-    def gather_rows(
-        self, rows: np.ndarray, ids: np.ndarray, regime: str = "df"
+    def gather(
+        self,
+        ids: np.ndarray,
+        regime: str = "df",
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Row subset of :meth:`gather`: ``gather(ids, regime)[rows]``
-        without materializing the full matrix (pure selection, bitwise
-        identical to slicing the full gather)."""
+        """Per-word probabilities for all databases (or just ``rows``): a
+        (rows, words) matrix whose row ``i`` equals
+        ``summaries[i].scored_lookup(ids)``. Pure selection, so a row
+        subset is bitwise the full gather indexed by ``rows``."""
         dense = self.dense(regime)
-        rows = np.asarray(rows, dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
         valid = (ids >= 0) & (ids < self._width)
-        safe = np.where(valid, ids, 0)
-        out = dense[rows[:, None], safe[None, :]]
-        if not valid.all():
-            out[:, ~valid] = self._defaults[regime][rows][:, None]
+        all_valid = bool(valid.all())
+        safe = ids if all_valid else np.where(valid, ids, 0)
+        if rows is None:
+            out = dense[:, safe]
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            out = dense[rows[:, None], safe]
+        if not all_valid:
+            defaults = self._defaults[regime]
+            if rows is not None:
+                defaults = defaults[rows]
+            out[:, ~valid] = defaults[:, None]
         return out
 
     # -- CORI corpus statistics ------------------------------------------------
@@ -470,29 +468,25 @@ class BatchSelectionEngine:
         self.matrix = matrix
         self.names = self.matrix.names
 
-    def score_arrays(
-        self, query_terms: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(scores, floors) aligned to :attr:`names`."""
-        return self.scorer.batch_scores(list(query_terms), self.matrix)
-
     def rank(self, query_terms: Sequence[str]) -> list[RankedDatabase]:
         """Score and rank all databases for one query (highest first)."""
         from repro.evaluation.instrument import get_instrumentation
 
         start = time.perf_counter()
-        scores, floors = self.score_arrays(query_terms)
+        terms = list(query_terms)
+        scorer, matrix = self.scorer, self.matrix
+        scores = scorer.score_rows(
+            terms,
+            matrix.gather(matrix.query_ids(terms), scorer.topk_regime),
+            matrix.sizes,
+            matrix.cw(),
+        )
+        floors = scorer.batch_floor_scores(terms, matrix)
         ranking = ranked_from_arrays(self.names, scores, floors)
         get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
+            f"rank.seconds.{scorer.name}", time.perf_counter() - start
         )
         return ranking
-
-    def rank_batch(
-        self, queries: Sequence[Sequence[str]]
-    ) -> list[list[RankedDatabase]]:
-        """Rankings for a batch of queries (one matrix pass per query)."""
-        return [self.rank(query) for query in queries]
 
 
 class AdaptiveBatchEngine:
@@ -552,21 +546,19 @@ class AdaptiveBatchEngine:
         return self.plain.query_ids(query_terms)
 
     def gather_mixed(
-        self, ids: np.ndarray, regime: str, mask: np.ndarray
+        self,
+        ids: np.ndarray,
+        regime: str,
+        mask: np.ndarray,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-word probabilities with shrunk rows where ``mask`` is set."""
-        plain = self.plain.gather(ids, regime)
-        shrunk = self.shrunk.gather(ids, regime)
-        return np.where(mask[:, None], shrunk, plain)
-
-    def gather_mixed_rows(
-        self, rows: np.ndarray, ids: np.ndarray, regime: str, mask: np.ndarray
-    ) -> np.ndarray:
-        """Row subset of :meth:`gather_mixed` (pure selection)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        plain = self.plain.gather_rows(rows, ids, regime)
-        shrunk = self.shrunk.gather_rows(rows, ids, regime)
-        return np.where(mask[rows][:, None], shrunk, plain)
+        """Per-word probabilities with shrunk rows where ``mask`` is set,
+        for all databases or just ``rows`` (see
+        :meth:`SummarySetMatrix.gather`)."""
+        plain = self.plain.gather(ids, regime, rows)
+        shrunk = self.shrunk.gather(ids, regime, rows)
+        chosen = mask if rows is None else mask[rows]
+        return np.where(chosen[:, None], shrunk, plain)
 
     def cw_mixed(self, mask: np.ndarray) -> np.ndarray:
         """Per-database cw(D) of the chosen summaries."""
@@ -597,11 +589,18 @@ class AdaptiveBatchEngine:
 
         start = time.perf_counter()
         mask = np.asarray(mask, dtype=bool)
-        scores, floors = self.scorer.batch_scores_mixed(
-            list(query_terms), self, mask
+        terms = list(query_terms)
+        scorer = self.scorer
+        scores = scorer.score_rows(
+            terms,
+            self.gather_mixed(self.query_ids(terms), scorer.topk_regime, mask),
+            self.sizes,
+            self.cw_mixed(mask),
+            **scorer.mixed_context(terms, self, mask),
         )
+        floors = scorer.batch_floor_scores(terms, self.plain)
         ranking = ranked_from_arrays(self.names, scores, floors)
         get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
+            f"rank.seconds.{scorer.name}", time.perf_counter() - start
         )
         return ranking

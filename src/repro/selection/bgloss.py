@@ -22,15 +22,7 @@ from repro.selection.base import DatabaseScorer
 from repro.summaries.summary import ContentSummary
 
 if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
-
-
-def _fold_product(scales: np.ndarray, word_scores: np.ndarray) -> np.ndarray:
-    """Per-database product fold, word-sequential like the scalar loop."""
-    scores = scales.copy()
-    for column in word_scores.T:
-        scores = scores * column
-    return scores
+    from repro.selection.batch import SummarySetMatrix
 
 
 class BGlossScorer(DatabaseScorer):
@@ -69,36 +61,29 @@ class BGlossScorer(DatabaseScorer):
     def scale(self, summary: ContentSummary) -> float:
         return summary.size
 
-    def _floors(self, query_terms: Sequence[str], sizes: np.ndarray) -> np.ndarray:
-        # The scalar floor fold is |D| * 0.0 * ... * 0.0 — exactly +0.0
-        # after the first word — and just |D| for the empty query.
-        if query_terms:
-            return np.zeros(sizes.size, dtype=np.float64)
-        return sizes.copy()
-
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = matrix.query_ids(query_terms)
-        word_scores = matrix.gather(ids, "df")
-        scores = _fold_product(matrix.sizes, word_scores)
-        return scores, self._floors(query_terms, matrix.sizes)
+    def score_rows(
+        self,
+        query_terms: Sequence[str],
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray,
+        i_values: np.ndarray | None = None,
+        mean_cw: float | None = None,
+    ) -> np.ndarray:
+        # |D| times each word's probability, word-sequential like score().
+        scores = sizes.copy()
+        for column in probabilities.T:
+            scores = scores * column
+        return scores
 
     def batch_floor_scores(
         self, query_terms: Sequence[str], matrix: SummarySetMatrix
     ) -> np.ndarray:
-        return self._floors(query_terms, matrix.sizes)
-
-    def batch_scores_mixed(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = engine.query_ids(query_terms)
-        word_scores = engine.gather_mixed(ids, "df", mask)
-        scores = _fold_product(engine.sizes, word_scores)
-        return scores, self._floors(query_terms, engine.sizes)
+        # The scalar floor fold is |D| * 0.0 * ... * 0.0 — exactly +0.0
+        # after the first word — and just |D| for the empty query.
+        if query_terms:
+            return np.zeros(len(matrix), dtype=np.float64)
+        return matrix.sizes.copy()
 
     # -- pruned top-k hooks ----------------------------------------------------
 
@@ -112,30 +97,7 @@ class BGlossScorer(DatabaseScorer):
         mean_cw: float | None = None,
     ) -> np.ndarray:
         # |D| * prod p(w|D) is monotone in every input and rounding is
-        # monotone per operation, so folding the per-word maxima through
-        # the same sequential product dominates every covered row's score;
-        # a zero pmax column zeroes the bound exactly like the floor fold.
-        return _fold_product(size_ub, pmax)
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        ids = matrix.query_ids(query_terms)
-        word_scores = matrix.gather_rows(rows, ids, "df")
-        return _fold_product(matrix.sizes[rows], word_scores)
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        word_scores = engine.gather_mixed_rows(rows, ids, "df", mask)
-        return _fold_product(engine.sizes[rows], word_scores)
+        # monotone per operation, so the exact kernel evaluated at the
+        # per-word maxima dominates every covered row's score; a zero
+        # pmax column zeroes the bound exactly like the floor fold.
+        return self.score_rows(query_terms, pmax, size_ub, cw_lb)

@@ -19,13 +19,13 @@ Paper-specific details implemented here (Section 5.3):
   ``sum_w round(|D| * p(w|D))`` — a consistent proxy across databases
   (exact collection lengths are not available to a metasearcher either).
 
-``prepare`` is columnar: when all candidate summaries share one
+``prepare`` is columnar: cf is accumulated as a dense per-id count array
+with one fancy-indexed add per summary, over the candidates' shared
 :class:`~repro.core.vocab.Vocabulary` (the normal case — one instance per
-testbed cell), cf is accumulated as a dense per-id count array with one
-fancy-indexed add per summary; a dict fallback covers mixed-vocabulary
-candidate sets (e.g. summaries deserialized independently). The per-word
-``I`` factors still go through ``math.log`` so scores agree bit-for-bit
-with the scalar formulation.
+testbed cell) or, for a set spanning several vocabularies (e.g. summaries
+deserialized independently), over one built from the set's present words.
+The per-word ``I`` factors still go through ``math.log`` so scores agree
+bit-for-bit with the scalar formulation.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ def _present_ids(summary: ContentSummary) -> np.ndarray:
     return summary.regime_arrays("df")[0]
 
 
-def _present_words(summary: ContentSummary) -> set[str]:
-    """Words counted as present for cf purposes (the round rule for R(D))."""
-    if isinstance(summary, ShrunkSummary):
-        return summary.effective_words()
-    return summary.words()
+def _i_factors(cf: Sequence[int], m: int) -> np.ndarray:
+    """I = log((m + 0.5) / cf) / log(m + 1) per word (cf floored at 1)."""
+    denominator = math.log(m + 1.0)
+    return np.array(
+        [math.log((m + 0.5) / max(count, 1)) / denominator for count in cf],
+        dtype=np.float64,
+    )
 
 
 class CoriScorer(DatabaseScorer):
@@ -81,84 +83,63 @@ class CoriScorer(DatabaseScorer):
     def __init__(self, df_base: float = 50.0, df_factor: float = 150.0) -> None:
         self.df_base = df_base
         self.df_factor = df_factor
-        self._cf: dict[str, int] = {}
-        self._cf_vocab: Vocabulary | None = None
-        self._cf_counts: np.ndarray | None = None
+        self._cf_vocab = Vocabulary()
+        self._cf_counts = np.zeros(0, dtype=np.int64)
         self._num_databases = 0
         self._mean_cw = 1.0
-        self._cw: dict[int, float] = {}
         self._i_cache = LruCache(_I_CACHE_SIZE)
 
     def prepare(self, summaries: Mapping[str, ContentSummary]) -> None:
-        """Compute cf(w), m and mcw over the candidate summaries."""
-        self._cf = {}
-        self._cf_vocab = None
-        self._cf_counts = None
-        self._num_databases = len(summaries)
-        self._cw = {}
-        self._i_cache = LruCache(_I_CACHE_SIZE)
-        total_cw = 0.0
+        """Compute cf(w), m and mcw over the candidate summaries.
+
+        cf is counted over one id space: the summaries' shared vocabulary,
+        or a fresh one interning every present word of a set that spans
+        several.
+        """
         vocabs = {id(s.vocab): s.vocab for s in summaries.values()}
-        shared = next(iter(vocabs.values())) if len(vocabs) == 1 else None
-        if shared is not None:
-            counts = np.zeros(len(shared), dtype=np.int64)
-            for summary in summaries.values():
-                cw = self._collection_words(summary)
-                self._cw[id(summary)] = cw
-                total_cw += cw
-                counts[_present_ids(summary)] += 1
-            self._cf_vocab = shared
-            self._cf_counts = counts
+        if len(vocabs) == 1:
+            vocab = next(iter(vocabs.values()))
+            present = [_present_ids(s) for s in summaries.values()]
         else:
-            for summary in summaries.values():
-                cw = self._collection_words(summary)
-                self._cw[id(summary)] = cw
-                total_cw += cw
-                for word in _present_words(summary):
-                    self._cf[word] = self._cf.get(word, 0) + 1
+            vocab = Vocabulary()
+            present = [
+                vocab.intern_many(s.vocab.words_of(_present_ids(s)))
+                for s in summaries.values()
+            ]
+        counts = np.zeros(len(vocab), dtype=np.int64)
+        for ids in present:
+            counts[ids] += 1
+        total_cw = 0.0
+        for summary in summaries.values():
+            total_cw += summary.df_mass()
+        self._cf_vocab = vocab
+        self._cf_counts = counts
+        self._num_databases = len(summaries)
+        self._i_cache = LruCache(_I_CACHE_SIZE)
         self._mean_cw = (
             total_cw / self._num_databases if self._num_databases else 1.0
         )
         if self._mean_cw <= 0:
             self._mean_cw = 1.0
 
-    @staticmethod
-    def _collection_words(summary: ContentSummary) -> float:
-        """cw(D) proxy: total estimated document-frequency mass."""
-        return summary.df_mass()
-
     def _cf_count(self, word: str) -> int:
-        """cf(w) from the dense array (shared vocab) or the dict fallback."""
-        if self._cf_counts is not None and self._cf_vocab is not None:
-            word_id = self._cf_vocab.get(word)
-            if word_id is None or word_id >= self._cf_counts.size:
-                return 0
-            return int(self._cf_counts[word_id])
-        return self._cf.get(word, 0)
+        """cf(w) over the prepared set (0 for a word no candidate has)."""
+        word_id = self._cf_vocab.get(word)
+        if word_id is None or word_id >= self._cf_counts.size:
+            return 0
+        return int(self._cf_counts[word_id])
 
     def _i_values(self, query_terms: tuple[str, ...]) -> np.ndarray:
         """Per-word I factors; cf(w) and m are fixed between prepares, so
         the array is cached per query."""
         cached = self._i_cache.get(query_terms, MISSING)
         if cached is MISSING:
-            m = self._num_databases
-            denominator = math.log(m + 1.0)
-            cached = np.array(
-                [
-                    math.log((m + 0.5) / max(self._cf_count(word), 1))
-                    / denominator
-                    for word in query_terms
-                ],
-                dtype=np.float64,
+            cached = _i_factors(
+                [self._cf_count(word) for word in query_terms],
+                self._num_databases,
             )
             self._i_cache.put(query_terms, cached)
         return cached
-
-    def _database_cw(self, summary: ContentSummary) -> float:
-        cw = self._cw.get(id(summary))
-        if cw is None:
-            cw = self._collection_words(summary)
-        return cw
 
     def score(
         self, query_terms: Sequence[str], summary: ContentSummary
@@ -169,7 +150,7 @@ class CoriScorer(DatabaseScorer):
             raise RuntimeError("CoriScorer.prepare must run before scoring")
         probabilities = self.query_vector(query_terms, summary, "df")
         document_frequency = probabilities * summary.size
-        cw = self._database_cw(summary)
+        cw = summary.df_mass()
         t_values = document_frequency / (
             document_frequency
             + self.df_base
@@ -191,7 +172,7 @@ class CoriScorer(DatabaseScorer):
         if self._num_databases == 0:
             raise RuntimeError("CoriScorer.prepare must run before scoring")
         document_frequency = probability * summary.size
-        cw = self._database_cw(summary)
+        cw = summary.df_mass()
         t_value = document_frequency / (
             document_frequency + self.df_base + self.df_factor * cw / self._mean_cw
         )
@@ -208,7 +189,7 @@ class CoriScorer(DatabaseScorer):
             raise RuntimeError("CoriScorer.prepare must run before scoring")
         probabilities = np.asarray(probabilities, dtype=np.float64)
         document_frequency = probabilities * summary.size
-        cw = self._database_cw(summary)
+        cw = summary.df_mass()
         t_values = document_frequency / (
             document_frequency + self.df_base + self.df_factor * cw / self._mean_cw
         )
@@ -251,23 +232,6 @@ class CoriScorer(DatabaseScorer):
             total += 0.4
         return total / len(query_terms)
 
-    def _floor_array(
-        self, query_terms: Sequence[str], count: int
-    ) -> np.ndarray:
-        """The (database-independent) floor, replicated across ``count``."""
-        total = 0.0
-        for _word in query_terms:
-            total += 0.4
-        return np.full(count, total / len(query_terms), dtype=np.float64)
-
-    @staticmethod
-    def _fold_mean(word_scores: np.ndarray, query_length: int) -> np.ndarray:
-        """Word-sequential sum fold, then the / |q| normalization."""
-        totals = np.zeros(word_scores.shape[0], dtype=np.float64)
-        for column in word_scores.T:
-            totals = totals + column
-        return totals / query_length
-
     def _t_matrix(
         self,
         probabilities: np.ndarray,
@@ -284,90 +248,71 @@ class CoriScorer(DatabaseScorer):
             + (self.df_factor * cw / mean_cw)[:, None]
         )
 
+    @staticmethod
+    def _fold_t(t_values: np.ndarray, i_values: np.ndarray) -> np.ndarray:
+        """0.4 + 0.6 T I per word, summed word-sequentially, then / |q|."""
+        word_scores = 0.4 + 0.6 * t_values * i_values
+        totals = np.zeros(word_scores.shape[0], dtype=np.float64)
+        for column in word_scores.T:
+            totals = totals + column
+        return totals / word_scores.shape[1]
+
+    def _statistics(
+        self,
+        query_terms: Sequence[str],
+        i_values: np.ndarray | None,
+        mean_cw: float | None,
+    ) -> tuple[np.ndarray, float]:
+        """The given mixed-set I factors and mcw, else the prepared (or,
+        in a cluster shard, frozen universe-wide) ones."""
+        if i_values is None:
+            if self._num_databases == 0:
+                raise RuntimeError("CoriScorer.prepare must run before scoring")
+            i_values = self._i_values(tuple(query_terms))
+        return i_values, self._mean_cw if mean_cw is None else mean_cw
+
+    def score_rows(
+        self,
+        query_terms: Sequence[str],
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray,
+        i_values: np.ndarray | None = None,
+        mean_cw: float | None = None,
+    ) -> np.ndarray:
+        if not query_terms:
+            return np.zeros(probabilities.shape[0], dtype=np.float64)
+        i_values, mean_cw = self._statistics(query_terms, i_values, mean_cw)
+        return self._fold_t(
+            self._t_matrix(probabilities, sizes, cw, mean_cw), i_values
+        )
+
     def batch_floor_scores(
         self, query_terms: Sequence[str], matrix: SummarySetMatrix
     ) -> np.ndarray:
-        if not query_terms:
-            return np.zeros(len(matrix))
-        return self._floor_array(query_terms, len(matrix))
-
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        count = len(matrix)
-        if not query_terms:
-            return np.zeros(count), np.zeros(count)
-        if self._num_databases == 0:
-            raise RuntimeError("CoriScorer.prepare must run before scoring")
-        ids = matrix.query_ids(query_terms)
-        probabilities = matrix.gather(ids, "df")
-        cw = np.array(
-            [self._database_cw(s) for s in matrix.summaries],
-            dtype=np.float64,
-        )
-        t_values = self._t_matrix(probabilities, matrix.sizes, cw, self._mean_cw)
-        i_values = self._i_values(tuple(query_terms))
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        scores = self._fold_mean(word_scores, len(query_terms))
-        return scores, self._floor_array(query_terms, count)
-
-    def batch_scores_mixed(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Mixed-set CORI: cf, cw and mcw are recomputed for the per-query
-        plain/shrunk row choice, exactly as a fresh ``prepare`` on the
-        materialized mixed dict would produce them."""
-        count = len(engine)
-        if not query_terms:
-            return np.zeros(count), np.zeros(count)
-        ids = engine.query_ids(query_terms)
-        probabilities = engine.gather_mixed(ids, "df", mask)
-        cw = engine.cw_mixed(mask)
-        mean_cw = engine.mean_cw(mask)
-        t_values = self._t_matrix(probabilities, engine.sizes, cw, mean_cw)
-        denominator = math.log(count + 1.0)
-        i_values = np.array(
-            [
-                math.log((count + 0.5) / max(cf, 1)) / denominator
-                for cf in engine.cf_at(ids, mask).tolist()
-            ],
-            dtype=np.float64,
-        )
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        scores = self._fold_mean(word_scores, len(query_terms))
-        return scores, self._floor_array(query_terms, count)
-
-    # -- pruned top-k hooks ----------------------------------------------------
-
-    def _mixed_i_values(
-        self, engine: AdaptiveBatchEngine, ids: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Per-word I factors of the mixed set (same fold as the serial
-        re-prepare on the materialized mixed dict)."""
-        count = len(engine)
-        denominator = math.log(count + 1.0)
-        return np.array(
-            [
-                math.log((count + 0.5) / max(cf, 1)) / denominator
-                for cf in engine.cf_at(ids, mask).tolist()
-            ],
-            dtype=np.float64,
+        # The floor is database-independent: floor_score never reads the
+        # summary.
+        return np.full(
+            len(matrix), self.floor_score(query_terms, None), dtype=np.float64
         )
 
-    def topk_mixed_context(
+    def mixed_context(
         self,
         query_terms: Sequence[str],
         engine: AdaptiveBatchEngine,
         mask: np.ndarray,
     ) -> dict:
-        ids = engine.query_ids(query_terms)
+        """cf and mcw of the mixed set, exactly as a fresh ``prepare`` on
+        the materialized mixed dict computes them."""
+        if not query_terms:
+            return {}
+        cf = engine.cf_at(engine.query_ids(query_terms), mask)
         return {
-            "i_values": self._mixed_i_values(engine, ids, mask),
+            "i_values": _i_factors(cf.tolist(), len(engine)),
             "mean_cw": engine.mean_cw(mask),
         }
+
+    # -- pruned top-k hooks ----------------------------------------------------
 
     def topk_group_bounds(
         self,
@@ -383,68 +328,8 @@ class CoriScorer(DatabaseScorer):
         and minimizing cw dominates every covered row; the guard absorbs
         the independent numerator/denominator rounding. All-zero pmax
         folds to exactly the 0.4-per-word floor."""
-        if i_values is None:
-            if self._num_databases == 0:
-                raise RuntimeError(
-                    "CoriScorer.prepare must run before scoring"
-                )
-            i_values = self._i_values(tuple(query_terms))
-        if mean_cw is None:
-            mean_cw = self._mean_cw
         if cw_lb is None:
             raise ValueError("CORI top-k bounds need a cw lower bound")
-        document_frequency = pmax * size_ub[:, None]
-        t_bounds = document_frequency / (
-            document_frequency
-            + self.df_base
-            + (self.df_factor * cw_lb / mean_cw)[:, None]
-        )
-        t_bounds = t_bounds * _T_BOUND_GUARD
-        word_bounds = 0.4 + 0.6 * t_bounds * i_values
-        return self._fold_mean(word_bounds, len(query_terms))
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        if self._num_databases == 0:
-            raise RuntimeError("CoriScorer.prepare must run before scoring")
-        ids = matrix.query_ids(query_terms)
-        probabilities = matrix.gather_rows(rows, ids, "df")
-        cw = np.array(
-            [
-                self._database_cw(matrix.summaries[row])
-                for row in np.asarray(rows).tolist()
-            ],
-            dtype=np.float64,
-        )
-        t_values = self._t_matrix(
-            probabilities, matrix.sizes[rows], cw, self._mean_cw
-        )
-        i_values = self._i_values(tuple(query_terms))
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        return self._fold_mean(word_scores, len(query_terms))
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        probabilities = engine.gather_mixed_rows(rows, ids, "df", mask)
-        cw = engine.cw_mixed(mask)[rows]
-        if mean_cw is None:
-            mean_cw = engine.mean_cw(mask)
-        if i_values is None:
-            i_values = self._mixed_i_values(engine, ids, mask)
-        t_values = self._t_matrix(
-            probabilities, engine.sizes[rows], cw, mean_cw
-        )
-        word_scores = 0.4 + 0.6 * t_values * i_values
-        return self._fold_mean(word_scores, len(query_terms))
+        i_values, mean_cw = self._statistics(query_terms, i_values, mean_cw)
+        t_bounds = self._t_matrix(pmax, size_ub, cw_lb, mean_cw)
+        return self._fold_t(t_bounds * _T_BOUND_GUARD, i_values)

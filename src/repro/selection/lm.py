@@ -28,7 +28,7 @@ from repro.selection.base import DatabaseScorer
 from repro.summaries.summary import ContentSummary
 
 if TYPE_CHECKING:
-    from repro.selection.batch import AdaptiveBatchEngine, SummarySetMatrix
+    from repro.selection.batch import SummarySetMatrix
 
 #: Bound on the per-query p(w|G) vector cache (see base.QUERY_IDS_CACHE_SIZE).
 _GLOBAL_CACHE_SIZE = 512
@@ -143,22 +143,27 @@ class LanguageModelScorer(DatabaseScorer):
     def scale(self, summary: ContentSummary) -> float:
         return 1.0
 
-    def _batch_from_probabilities(
-        self, query_terms: Sequence[str], probabilities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Smooth, fold and floor a (databases, words) probability matrix."""
-        count = probabilities.shape[0]
+    def score_rows(
+        self,
+        query_terms: Sequence[str],
+        probabilities: np.ndarray,
+        sizes: np.ndarray,
+        cw: np.ndarray,
+        i_values: np.ndarray | None = None,
+        mean_cw: float | None = None,
+    ) -> np.ndarray:
+        # LM's only corpus-level input, p(w|G), is the Root category model
+        # — independent of any per-query summary choice — so fixed and
+        # mixed sets differ only in the gathered rows.
         word_scores = (
             self.smoothing_lambda * probabilities
             + (1.0 - self.smoothing_lambda)
             * self._global_vector(tuple(query_terms))
         )
-        scores = np.ones(count, dtype=np.float64)
+        scores = np.ones(probabilities.shape[0], dtype=np.float64)
         for column in word_scores.T:
             scores = scores * column
-        return scores, np.full(
-            count, self._floor_value(query_terms), dtype=np.float64
-        )
+        return scores
 
     def _floor_value(self, query_terms: Sequence[str]) -> float:
         # The floor is database-independent: lambda * 0 + (1-lambda) * p(w|G)
@@ -176,28 +181,6 @@ class LanguageModelScorer(DatabaseScorer):
     ) -> np.ndarray:
         return np.full(len(matrix), self._floor_value(query_terms), dtype=np.float64)
 
-    def batch_scores(
-        self, query_terms: Sequence[str], matrix: SummarySetMatrix
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = matrix.query_ids(query_terms)
-        return self._batch_from_probabilities(
-            query_terms, matrix.gather(ids, "tf")
-        )
-
-    def batch_scores_mixed(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # LM's only corpus-level input, p(w|G), is the Root category model
-        # — independent of the per-query summary choice — so the mixed
-        # path differs from batch_scores only in the gathered rows.
-        ids = engine.query_ids(query_terms)
-        return self._batch_from_probabilities(
-            query_terms, engine.gather_mixed(ids, "tf", mask)
-        )
-
     # -- pruned top-k hooks ----------------------------------------------------
 
     def topk_group_bounds(
@@ -210,42 +193,7 @@ class LanguageModelScorer(DatabaseScorer):
         mean_cw: float | None = None,
     ) -> np.ndarray:
         # lambda * p + (1 - lambda) * p(w|G) is a single monotone rounded
-        # chain in p, so evaluating it at the per-word maxima — with the
-        # exact expression the scoring path uses — dominates every covered
-        # row, and a zero pmax entry reproduces the floor factor exactly.
-        word_bounds = (
-            self.smoothing_lambda * pmax
-            + (1.0 - self.smoothing_lambda)
-            * self._global_vector(tuple(query_terms))
-        )
-        bounds = np.ones(pmax.shape[0], dtype=np.float64)
-        for column in word_bounds.T:
-            bounds = bounds * column
-        return bounds
-
-    def batch_scores_rows(
-        self,
-        query_terms: Sequence[str],
-        matrix: SummarySetMatrix,
-        rows: np.ndarray,
-    ) -> np.ndarray:
-        ids = matrix.query_ids(query_terms)
-        scores, _ = self._batch_from_probabilities(
-            query_terms, matrix.gather_rows(rows, ids, "tf")
-        )
-        return scores
-
-    def batch_scores_mixed_rows(
-        self,
-        query_terms: Sequence[str],
-        engine: AdaptiveBatchEngine,
-        mask: np.ndarray,
-        rows: np.ndarray,
-        i_values: np.ndarray | None = None,
-        mean_cw: float | None = None,
-    ) -> np.ndarray:
-        ids = engine.query_ids(query_terms)
-        scores, _ = self._batch_from_probabilities(
-            query_terms, engine.gather_mixed_rows(rows, ids, "tf", mask)
-        )
-        return scores
+        # chain in p, so the exact kernel evaluated at the per-word maxima
+        # dominates every covered row, and a zero pmax entry reproduces
+        # the floor factor exactly.
+        return self.score_rows(query_terms, pmax, size_ub, cw_lb)

@@ -37,8 +37,12 @@ are refined row-by-row against ``min(column_max, row_max)`` before the
 expensive gather. Elimination only ever discards rows with
 ``score < θ ≤ true k-th score``, so the surviving pool provably contains
 the full ranking's first k entries, which are then assembled by the same
-``(-score, name)`` sort as the full scan. Unsupported sets or scorers
-simply return ``None`` and callers take the existing full-scan path.
+``(-score, name)`` sort as the full scan. Survivors are scored by the
+scorer's one exact kernel,
+:meth:`~repro.selection.base.DatabaseScorer.score_rows`, over their
+gathered rows — the kernel the full scan runs over every row — so a
+survivor's score is the full scan's bit for bit. Queries pruning cannot
+serve return ``None`` and callers take the full-scan path.
 """
 
 from __future__ import annotations
@@ -292,9 +296,8 @@ class TopKEngine:
     ``rank`` returns ``(ranking, stats)`` where ``ranking`` is
     bit-identical to ``BatchSelectionEngine.rank(query)[:k]`` — same
     scores, floors, selected flags and ordering — or ``None`` when
-    pruning does not apply (empty query, ``k`` covering the whole set, a
-    scorer without bound support, or non-uniform floors) and the caller
-    must take the full-scan path.
+    pruning does not apply (empty query, ``k`` covering the whole set, or
+    non-uniform floors) and the caller must take the full-scan path.
     """
 
     def __init__(
@@ -315,39 +318,43 @@ class TopKEngine:
         from repro.evaluation.instrument import get_instrumentation
 
         terms = list(query_terms)
-        regime = self.scorer.topk_regime
-        n = len(self.matrix)
-        if regime is None or not terms or k is None or k <= 0 or k >= n:
+        scorer, matrix = self.scorer, self.matrix
+        regime = scorer.topk_regime
+        if not terms or k is None or k <= 0 or k >= len(matrix):
             return None
         start = time.perf_counter()
-        floors = self.scorer.batch_floor_scores(terms, self.matrix)
+        floors = scorer.batch_floor_scores(terms, matrix)
         if float(floors.min()) != float(floors.max()):
             return None
-        ids = self.matrix.query_ids(terms)
+        ids = matrix.query_ids(terms)
+        cw = matrix.cw()
 
         def bound_fn(pmax, size_ub, cw_lb):
-            return self.scorer.topk_group_bounds(terms, pmax, size_ub, cw_lb)
+            return scorer.topk_group_bounds(terms, pmax, size_ub, cw_lb)
 
         def score_fn(rows):
-            return self.scorer.batch_scores_rows(terms, self.matrix, rows)
+            return scorer.score_rows(
+                terms, matrix.gather(ids, regime, rows), matrix.sizes[rows],
+                cw[rows],
+            )
 
         result = _pruned_scan(
-            self.matrix.names,
-            self.matrix.sizes,
-            self.matrix.cw(),
+            matrix.names,
+            matrix.sizes,
+            cw,
             floors,
             k,
             self.groups.rows,
             self.groups.colmax_at(ids, regime),
             self.groups.size_max(),
             self.groups.cw_min(),
-            _query_column_max(self.matrix, ids, regime),
-            self.matrix.row_max(regime),
+            _query_column_max(matrix, ids, regime),
+            matrix.row_max(regime),
             bound_fn,
             score_fn,
         )
         get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
+            f"rank.seconds.{scorer.name}", time.perf_counter() - start
         )
         return result
 
@@ -357,9 +364,9 @@ class MixedTopKEngine:
 
     Bounds must hold for *any* mask, so per-word maxima take the
     elementwise max over both matrices (and cw the min): sound for every
-    mix, mask-independent, computed once. Exact scoring of survivors goes
-    through the scorers' mixed row-subset hooks with the mixed set's
-    per-query corpus statistics (CORI's cf/mcw).
+    mix, mask-independent, computed once. Survivors are gathered from the
+    mix and scored by the scorer's kernel with the mixed set's per-query
+    corpus statistics (CORI's cf/mcw).
     """
 
     def __init__(
@@ -382,18 +389,17 @@ class MixedTopKEngine:
         from repro.evaluation.instrument import get_instrumentation
 
         terms = list(query_terms)
-        regime = self.scorer.topk_regime
-        engine = self.engine
-        n = len(engine)
-        if regime is None or not terms or k is None or k <= 0 or k >= n:
+        scorer, engine = self.scorer, self.engine
+        regime = scorer.topk_regime
+        if not terms or k is None or k <= 0 or k >= len(engine):
             return None
         start = time.perf_counter()
         mask = np.asarray(mask, dtype=bool)
-        floors = self.scorer.batch_floor_scores(terms, engine.plain)
+        floors = scorer.batch_floor_scores(terms, engine.plain)
         if float(floors.min()) != float(floors.max()):
             return None
         ids = engine.query_ids(terms)
-        context = self.scorer.topk_mixed_context(terms, engine, mask)
+        context = scorer.mixed_context(terms, engine, mask)
 
         group_pmax = np.maximum(
             self.plain_groups.colmax_at(ids, regime),
@@ -412,13 +418,14 @@ class MixedTopKEngine:
         )
 
         def bound_fn(pmax, size_ub, cw_lb):
-            return self.scorer.topk_group_bounds(
+            return scorer.topk_group_bounds(
                 terms, pmax, size_ub, cw_lb, **context
             )
 
         def score_fn(rows):
-            return self.scorer.batch_scores_mixed_rows(
-                terms, engine, mask, rows, **context
+            return scorer.score_rows(
+                terms, engine.gather_mixed(ids, regime, mask, rows),
+                engine.sizes[rows], cw[rows], **context,
             )
 
         result = _pruned_scan(
@@ -437,6 +444,6 @@ class MixedTopKEngine:
             score_fn,
         )
         get_instrumentation().observe(
-            f"rank.seconds.{self.scorer.name}", time.perf_counter() - start
+            f"rank.seconds.{scorer.name}", time.perf_counter() - start
         )
         return result

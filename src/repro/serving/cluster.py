@@ -20,7 +20,7 @@ per-shard ``k' = k`` suffices for the merged selected set.
 The adaptive ``shrinkage`` strategy is deliberately **not** clusterable:
 its mixed-set CORI path recomputes cf/cw/mcw per query over the *mixed*
 plain/shrunk choice across the whole universe (see
-``CoriScorer.batch_scores_mixed``) — per-query whole-universe statistics
+``CoriScorer.mixed_context``) — per-query whole-universe statistics
 that a single scatter round cannot reproduce. Clusters therefore serve
 the fixed-set strategies (``plain``, ``universal``) only; a two-round
 scatter (decision round, then statistics exchange) is future work.

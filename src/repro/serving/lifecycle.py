@@ -409,11 +409,10 @@ class CellUpdater:
 
         # Per-database identity facts for the epoch-keyed response cache
         # (service.py): which databases this update actually *touched*
-        # (summary object replaced or newly added), and whether the cell
-        # as a whole is provably bitwise-identical to the previous one.
-        # Object identity is the right test — the builder keeps previous
-        # summary objects whenever an op sequence cancels out, and a kept
-        # object is by construction bitwise what a rebuild recomputes.
+        # (summary object replaced or newly added). Object identity is
+        # the right test — the builder keeps previous summary objects
+        # whenever an op sequence cancels out, and a kept object is by
+        # construction bitwise what a rebuild recomputes.
         touched = sorted(
             name
             for name, summary in summaries.items()
@@ -421,12 +420,6 @@ class CellUpdater:
         )
         added = sorted(set(summaries) - set(previous_summaries))
         removed = sorted(set(previous_summaries) - set(summaries))
-        # Ordered identity: collection-stat folds (CORI's cf/mcw, matrix
-        # stacking) run in dict iteration order, so bitwise reuse of
-        # *derived* state needs the same objects in the same order.
-        summaries_identical = list(previous_summaries) == list(summaries) and all(
-            previous_summaries[name] is summaries[name] for name in summaries
-        )
         info = {
             "ops": len(ops),
             "databases": len(summaries),
@@ -438,16 +431,6 @@ class CellUpdater:
             "touched_databases": touched,
             "added_databases": added,
             "removed_databases": removed,
-            "summaries_identical": summaries_identical,
-            # No category aggregate changed bits anywhere in the tree
-            # (cancelling sequences land here): plain LM's Root model and
-            # every shrinkage mixture input survived bitwise.
-            "aggregates_identical": not changed,
-            # Every shrunk summary is the previous snapshot's own object
-            # (EM never ran and nothing was reloaded from the store).
-            "shrunk_identical": not cache_hit
-            and em_ran == 0
-            and reused == len(summaries),
         }
         return metasearcher, info
 

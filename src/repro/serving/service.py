@@ -798,28 +798,15 @@ class SelectionService:
         every database the update touched or removed (an entry citing a
         stale revision can never match again — this is the epoch keying),
         then walks the previous snapshot's cache and retains an entry only
-        when one of three *proofs* covers it (DESIGN.md §5j):
-
-        1. **Identical cell** — the update cancelled out entirely: every
-           sampled summary is the previous object in the previous order,
-           no category aggregate changed bits, and every shrunk summary
-           was reused wholesale. The new snapshot recomputes bitwise the
-           same numbers for every (algorithm, strategy), so everything
-           survives.
-        2. **Plain-identical** — summaries and aggregates survived but EM
-           re-ran (or reloaded): only ``plain`` entries survive. Plain
-           scoring reads the sampled summaries (and, for LM, the Root
-           category model) — all proven unchanged — while adaptive
-           strategies read the recomputed shrunk set.
-        3. **Per-database (bGlOSS/plain)** — the update replaced some
-           summaries in place (no membership change, no pruned scans,
-           since a pruned scan's candidate pool depends on every row).
-           bGlOSS plain is the one per-database-local scorer: a database's
-           score depends on nothing but its own summary. An entry whose
-           dependency revisions all still hold, and whose truncated
-           ranking no touched database can break into
-           (:func:`_survives_break_in` rescoring proof), is bitwise what
-           the new snapshot would compute.
+        when the one retention proof covers it (DESIGN.md §5j):
+        **per-database (bGlOSS/plain)** — the update replaced some
+        summaries in place (no membership change, no pruned scans, since
+        a pruned scan's candidate pool depends on every row). bGlOSS plain
+        is the one per-database-local scorer: a database's score depends
+        on nothing but its own summary. An entry whose dependency
+        revisions all still hold, and whose truncated ranking no touched
+        database can break into (:func:`_survives_break_in` rescoring
+        proof), is bitwise what the new snapshot would compute.
 
         Everything else is dropped — correctness first, the cache is just
         a cache. Returns the number of entries retained.
@@ -829,18 +816,12 @@ class SelectionService:
         added = set(info.get("added_databases") or ())
         for name in touched | removed:
             self._db_revisions[name] = self._db_revisions.get(name, 0) + 1
-        if self.config.response_cache_size <= 0:
-            return 0
-        summaries_identical = bool(info.get("summaries_identical"))
-        aggregates_identical = bool(info.get("aggregates_identical"))
-        identical_cell = (
-            summaries_identical
-            and aggregates_identical
-            and bool(info.get("shrunk_identical"))
-        )
-        plain_identical = summaries_identical and aggregates_identical
-        granular_ok = not added and not removed and not self.config.prune
-        if not (identical_cell or plain_identical or granular_ok):
+        if (
+            self.config.response_cache_size <= 0
+            or added
+            or removed
+            or self.config.prune
+        ):
             return 0
         scorer = None
         summaries = metasearcher.sampled_summaries
@@ -850,29 +831,18 @@ class SelectionService:
         # preserves the entries' relative recency in the new cache.
         for key, entry in previous.cache.items():
             algorithm, strategy, terms, k = key
-            if identical_cell:
-                keep = True
-            elif plain_identical and strategy == "plain":
-                keep = True
-            elif (
-                granular_ok
-                and algorithm == "bgloss"
-                and strategy == "plain"
-                and all(
-                    revisions.get(name, 0) == revision
-                    for name, revision in entry["revisions"].items()
-                )
+            if algorithm != "bgloss" or strategy != "plain" or any(
+                revisions.get(name, 0) != revision
+                for name, revision in entry["revisions"].items()
             ):
-                if scorer is None:
-                    from repro.selection.bgloss import BGlossScorer
+                continue
+            if scorer is None:
+                from repro.selection.bgloss import BGlossScorer
 
-                    scorer = BGlossScorer()
-                keep = _survives_break_in(
-                    entry["response"], terms, k, touched, summaries, scorer
-                )
-            else:
-                keep = False
-            if keep:
+                scorer = BGlossScorer()
+            if _survives_break_in(
+                entry["response"], terms, k, touched, summaries, scorer
+            ):
                 cache.put(key, entry)
                 retained += 1
         return retained

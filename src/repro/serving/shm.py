@@ -43,10 +43,12 @@ bound arrays (``colmax.*``/``rowmax.*``), which the pruned top-k engine
 scores against — digest-checked like every other buffer.
 
 Cleanup discipline: the *publisher* owns the segment name — only it ever
-calls :meth:`SnapshotSegment.unlink`. Attachers close their mapping when
-their snapshot drains. Every live segment is tracked in
-:data:`_LIVE_SEGMENTS` and unlinked by an ``atexit`` hook as a last
-resort, so a crashed publisher does not orphan ``/dev/shm`` entries.
+calls :meth:`SnapshotSegment.unlink`. A mapping lives as long as any
+array that views it: nothing unmaps it explicitly, so a request still
+reading a drained snapshot's matrices never touches unmapped pages. Every
+live segment is tracked in :data:`_LIVE_SEGMENTS` and unlinked by an
+``atexit`` hook as a last resort, so a crashed publisher does not orphan
+``/dev/shm`` entries.
 """
 
 from __future__ import annotations
@@ -110,38 +112,35 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 class SnapshotSegment:
     """One owned or attached shared-memory segment.
 
-    Thin lifecycle wrapper over ``SharedMemory``: ``close()`` is
-    idempotent and safe while numpy views are still alive (it defers to
-    garbage collection in that case rather than raising ``BufferError``
-    mid-request), ``unlink()`` is publisher-only and also idempotent.
+    The mapping lives as long as any array that views it. Numpy arrays
+    built over :attr:`buf` keep the ``mmap`` object as their base but drop
+    their buffer export once built, so ``mmap.close()`` — which
+    ``SharedMemory.close()`` performs, also from its finalizer — would
+    succeed under live views and unmap pages an in-flight request still
+    reads. The wrapper therefore takes the ``mmap`` over from
+    ``SharedMemory`` (closing only its file descriptor) and never closes
+    it: the pages are unmapped when the last array over them is garbage
+    collected. ``close()`` drops only this wrapper's hold; ``unlink()``
+    is publisher-only, and both are idempotent.
     """
 
     def __init__(
         self, segment: shared_memory.SharedMemory, owner: bool
     ) -> None:
-        self._segment = segment
         self.owner = owner
         self.name = segment.name
-        self._closed = False
+        self.size = segment.size
+        mapping = segment._mmap
+        segment._buf.release()
+        segment._buf = segment._mmap = None
+        segment.close()
+        self.buf: memoryview | None = memoryview(mapping)
+        self._segment = segment
         self._unlinked = False
 
-    @property
-    def buf(self) -> memoryview:
-        return self._segment.buf
-
     def close(self) -> None:
-        """Drop this process's mapping (keeps the segment itself alive)."""
-        if self._closed:
-            return
-        try:
-            self._segment.close()
-            self._closed = True
-        except BufferError:
-            # Views over the mapping are still referenced (an in-flight
-            # request's snapshot). The mapping is released when the last
-            # view is garbage collected; nothing leaks system-wide as
-            # long as the publisher unlinks the name.
-            pass
+        """Drop this wrapper's hold on the mapping (views keep it mapped)."""
+        self.buf = None
 
     def unlink(self) -> None:
         """Remove the segment name system-wide (publisher only)."""
@@ -195,8 +194,11 @@ def pack_arrays(
         offset += array.nbytes
     total = max(offset, 1)
 
-    segment = shared_memory.SharedMemory(
-        create=True, size=total, name=_segment_name(epoch)
+    segment = SnapshotSegment(
+        shared_memory.SharedMemory(
+            create=True, size=total, name=_segment_name(epoch)
+        ),
+        owner=True,
     )
     for key in ordered:
         array = np.ascontiguousarray(arrays[key])
@@ -217,9 +219,8 @@ def pack_arrays(
         "epoch": epoch,
         "arrays": layout,
     }
-    wrapped = SnapshotSegment(segment, owner=True)
-    _LIVE_SEGMENTS.add(wrapped)
-    return manifest, wrapped
+    _LIVE_SEGMENTS.add(segment)
+    return manifest, segment
 
 
 def attach(
@@ -234,22 +235,21 @@ def attach(
     if not isinstance(manifest, Mapping) or manifest.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported shm manifest: {manifest!r:.80}")
     total = int(manifest["total_bytes"])
-    segment = _attach_untracked(str(manifest["segment"]))
-    wrapped = SnapshotSegment(segment, owner=False)
+    segment = SnapshotSegment(
+        _attach_untracked(str(manifest["segment"])), owner=False
+    )
     if segment.size < total:
-        wrapped.close()
         raise SegmentIntegrityError(
-            f"segment {wrapped.name} is {segment.size} bytes, "
+            f"segment {segment.name} is {segment.size} bytes, "
             f"manifest claims {total}"
         )
     digest = hashlib.sha256(segment.buf[:total]).hexdigest()
     if digest != manifest["digest"]:
-        wrapped.close()
         raise SegmentIntegrityError(
-            f"segment {wrapped.name} digest mismatch: "
+            f"segment {segment.name} digest mismatch: "
             f"{digest[:12]}… != {str(manifest['digest'])[:12]}…"
         )
-    return _views_over(manifest, segment.buf), wrapped
+    return _views_over(manifest, segment.buf), segment
 
 
 def _views_over(

@@ -18,8 +18,9 @@ for its batch engines.
 Covered: all three scorers (bGlOSS, CORI, LM) across the four strategies,
 pruned and full scans, on a cell whose summaries share one vocabulary and
 on one where each summary has its own; empty queries; out-of-vocabulary
-terms; a zero-database cell; plus a hypothesis property over random
-queries.
+terms; a zero-database cell; the row-subset contract of each scorer's
+one exact kernel (the pruned scans score their survivors with it); plus
+a hypothesis property over random queries.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.selection.batch import (
     BatchSelectionEngine,
     SummarySetMatrix,
 )
+from repro.selection.cori import CoriScorer
 from repro.selection.hierarchical import HierarchicalSelector
 from repro.selection.metasearcher import Metasearcher
 from repro.summaries.summary import ContentSummary
@@ -224,6 +226,65 @@ class TestEngineVsRankDatabases:
                     assert fast_entry.selected == serial_entry.selected
 
 
+class TestRowSubsetContract:
+    """The kernel over a gathered row subset equals the full scan's kernel
+    indexed by those rows, bit for bit — the contract pruned scans rely
+    on when they score only their survivors."""
+
+    @pytest.mark.parametrize("summary_set", ["plain", "universal", "adaptive"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("layout", ["shared", "own"])
+    def test_subset_equals_full_scan_rows(
+        self, batched, own_vocabs, layout, algorithm, summary_set
+    ):
+        metasearcher = batched if layout == "shared" else own_vocabs
+        vocab = metasearcher.builder.vocab
+        sampled = metasearcher.sampled_summaries
+        shrunk = metasearcher.shrunk_summaries
+        scorer = metasearcher.make_scorer(algorithm)
+        regime = scorer.topk_regime
+        plain = SummarySetMatrix(sampled, vocab)
+        n = len(plain)
+        rng = np.random.default_rng(len(layout) * 31 + len(summary_set))
+        if summary_set == "adaptive":
+            engine = AdaptiveBatchEngine(
+                scorer, sampled, shrunk, plain, SummarySetMatrix(shrunk, vocab)
+            )
+        else:
+            summaries = sampled if summary_set == "plain" else shrunk
+            scorer.prepare(summaries)
+            matrix = plain if summary_set == "plain" else SummarySetMatrix(
+                summaries, vocab
+            )
+        # Every query of QUERIES plus one whose words are all unknown, so
+        # the default fill of invalid ids runs on the row-subset path.
+        for query in QUERIES + [["oov-a", "oov-b"]]:
+            if summary_set == "adaptive":
+                mask = rng.random(n) < 0.5
+                ids = engine.query_ids(query)
+
+                def gather(rows):
+                    return engine.gather_mixed(ids, regime, mask, rows)
+
+                sizes, cw = engine.sizes, engine.cw_mixed(mask)
+                context = scorer.mixed_context(query, engine, mask)
+            else:
+                ids = matrix.query_ids(query)
+
+                def gather(rows):
+                    return matrix.gather(ids, regime, rows)
+
+                sizes, cw, context = matrix.sizes, matrix.cw(), {}
+            full = scorer.score_rows(query, gather(None), sizes, cw, **context)
+            assert full.shape == (n,)
+            for size in (0, 1, n // 2, n):
+                rows = rng.permutation(n)[:size]
+                subset = scorer.score_rows(
+                    query, gather(rows), sizes[rows], cw[rows], **context
+                )
+                assert np.array_equal(subset, full[rows]), (query, size)
+
+
 class TestPerSummaryVocabularySets:
     """Summaries built without ``vocab=`` (each on a private vocabulary)
     stack like any other set: the matrix translates their rows."""
@@ -281,6 +342,29 @@ class TestPerSummaryVocabularySets:
                 assert_matches_reference(
                     own_vocabs, query, algorithm, strategy, prune
                 )
+
+    def test_cori_cf_counts_present_words(self, own_vocabs):
+        # Pinned against a direct count of each summary's present words
+        # (the round rule for shrunk summaries), not against
+        # rank_databases, which runs this same prepare.
+        sampled = own_vocabs.sampled_summaries
+        shrunk = own_vocabs.shrunk_summaries
+        mixed = {
+            name: shrunk[name] if i % 2 else summary
+            for i, (name, summary) in enumerate(sampled.items())
+        }
+        for summaries in (sampled, mixed):
+            assert len({id(s.vocab) for s in summaries.values()}) > 1
+            scorer = CoriScorer()
+            scorer.prepare(summaries)
+            present = [
+                s.effective_words() if isinstance(s, ShrunkSummary) else s.words()
+                for s in summaries.values()
+            ]
+            for word in set().union(*present) | {"never-seen"}:
+                assert scorer._cf_count(word) == sum(
+                    word in words for words in present
+                ), word
 
     def test_custom_lookup_rejected(self):
         with pytest.raises(TypeError):

@@ -9,9 +9,11 @@ alike. Plus the integrity half: tampered or truncated segments are
 rejected loudly, and no test leaves an orphaned ``/dev/shm`` entry.
 """
 
+import gc
 import glob
 import hashlib
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -201,6 +203,43 @@ class TestWorkerAttachedSnapshotBitIdentity:
             segment.close()
             segment.unlink()
         assert _shm_entries() == before
+
+
+class TestMappingLifetime:
+    """A mapping lives as long as any array that views it.
+
+    An epoch flip closes the previous segment while requests on the old
+    snapshot may still be scoring from its matrices; those reads must
+    keep working until the last view is gone.
+    """
+
+    def test_read_after_flip_in_forked_child(self):
+        publisher = _metasearcher()
+        _warm(publisher)
+        expected = _probe(publisher, QUERIES[:2])
+        manifest, segment = shm.publish_snapshot(publisher, epoch=1)
+        try:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - runs in the child
+                code = 1
+                try:
+                    reader = _metasearcher()
+                    adopted = shm.adopt_snapshot(reader, manifest)
+                    # What a flip does to the previous epoch's segment.
+                    adopted.close()
+                    del adopted
+                    gc.collect()
+                    code = 0 if _probe(reader, QUERIES[:2]) == expected else 2
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert not os.WIFSIGNALED(status), (
+                f"child killed by signal {os.WTERMSIG(status)}"
+            )
+            assert os.WEXITSTATUS(status) == 0
+        finally:
+            segment.close()
+            segment.unlink()
 
 
 class TestBoundArraysInSnapshot:

@@ -561,40 +561,6 @@ class TestEpochKeyedRetention:
         )
         assert sweep["wrong"] == 0, sweep
 
-    def test_carry_cache_identical_cell_retains_everything(self):
-        # The identical-cell and plain-identical proofs trigger when the
-        # updater proves summaries/aggregates/shrunk unchanged; drive
-        # _carry_cache directly to pin the class logic.
-        from repro.core.lru import LruCache
-
-        service = _make_service(strategies=("plain", "shrinkage"))
-        service.select(["gen000"], algorithm="cori", strategy="shrinkage")
-        service.select(["gen000"], algorithm="cori", strategy="plain")
-        previous = service.snapshot
-        info_identical = {
-            "touched_databases": [],
-            "removed_databases": [],
-            "added_databases": [],
-            "summaries_identical": True,
-            "aggregates_identical": True,
-            "shrunk_identical": True,
-        }
-        cache = LruCache(previous.cache.maxsize)
-        kept = service._carry_cache(
-            previous, service.metasearcher, info_identical, cache
-        )
-        assert kept == 2
-        assert len(cache) == 2
-
-        info_plain = dict(info_identical, shrunk_identical=False)
-        cache = LruCache(previous.cache.maxsize)
-        kept = service._carry_cache(
-            previous, service.metasearcher, info_plain, cache
-        )
-        assert kept == 1
-        keys = [key for key, _ in cache.items()]
-        assert keys == [("cori", "plain", ("gen000",), 5)]
-
     def test_pruned_service_never_uses_the_granular_proof(self):
         service = _make_service(strategies=("plain",), prune=True)
         service.select(["gen000"], algorithm="bgloss", strategy="plain")
